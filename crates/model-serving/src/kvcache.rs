@@ -14,6 +14,10 @@
 //! occupancy, which keeps it directly property-testable (no leaked or
 //! double-freed page across arbitrary histories, counters always equal
 //! ground truth, LRU victims never touched in the current token step).
+//!
+//! Every operation costs O(pages it changes), never O(slab): each GPU
+//! keeps its resident pages on an intrusive doubly-linked LRU list, and
+//! each request keeps a count of its host-resident pages.
 
 use std::collections::BTreeMap;
 
@@ -43,6 +47,17 @@ pub struct KvPage {
     pub touch_step: u64,
 }
 
+/// End-of-list marker for the intrusive LRU links.
+const NIL: u32 = u32::MAX;
+
+/// A request's pages in allocation order (tail = newest), plus how many
+/// of them are host-resident.
+#[derive(Debug, Clone, Default)]
+struct ReqPages {
+    ids: Vec<PageId>,
+    host: u64,
+}
+
 /// Pages freed by [`KvPager::free_request`], split by residency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FreedPages {
@@ -64,8 +79,16 @@ pub struct KvPager {
     /// Page slab with an explicit free list (deterministic reuse order).
     pages: Vec<Option<KvPage>>,
     free: Vec<PageId>,
-    /// Per-request page lists in allocation order (tail = newest).
-    by_req: BTreeMap<u64, Vec<PageId>>,
+    /// Per-GPU LRU lists over the slab: `prev`/`next` run parallel to
+    /// `pages`, and `head` (least recent) / `tail` (most recent) are per
+    /// GPU. Every touch takes a fresh stamp from the global
+    /// `touch_clock` and moves the page to its GPU's tail, so each list
+    /// is sorted by `last_touch`.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    by_req: BTreeMap<u64, ReqPages>,
     touch_clock: u64,
     /// Lifetime op counters (monotonic; for reports and tests).
     pub allocs: u64,
@@ -104,6 +127,10 @@ impl KvPager {
             host_used: 0,
             pages: Vec::new(),
             free: Vec::new(),
+            prev: Vec::new(),
+            next: Vec::new(),
+            head: vec![NIL; gpus],
+            tail: vec![NIL; gpus],
             by_req: BTreeMap::new(),
             touch_clock: 0,
             allocs: 0,
@@ -146,11 +173,18 @@ impl KvPager {
                 id
             }
             None => {
+                assert!(
+                    self.pages.len() < NIL as usize,
+                    "page slab exceeds u32 links"
+                );
                 self.pages.push(Some(page));
+                self.prev.push(NIL);
+                self.next.push(NIL);
                 self.pages.len() - 1
             }
         };
-        self.by_req.entry(req).or_default().push(id);
+        self.push_tail(gpu, id);
+        self.by_req.entry(req).or_default().ids.push(id);
         self.allocs += 1;
         Some(id)
     }
@@ -159,58 +193,65 @@ impl KvPager {
     pub fn touch(&mut self, page: PageId, step: u64) {
         self.touch_clock += 1;
         let clock = self.touch_clock;
-        if let Some(p) = self.pages.get_mut(page).and_then(|p| p.as_mut()) {
-            p.last_touch = clock;
-            p.touch_step = step;
+        let Some(p) = self.pages.get_mut(page).and_then(|p| p.as_mut()) else {
+            return;
+        };
+        p.last_touch = clock;
+        p.touch_step = step;
+        if let PageHome::Gpu(g) = p.home {
+            self.unlink(g, page);
+            self.push_tail(g, page);
         }
     }
 
-    /// The LRU spill candidate on `gpu`: the GPU-resident page with the
-    /// oldest touch that was *not* touched in the current `step` (pages
-    /// being written this step are pinned). Ties break on the lower page
-    /// id. `None` when every resident page is hot or the host pool is
-    /// full.
-    pub fn spill_victim(&self, gpu: usize, step: u64) -> Option<PageId> {
-        if self.host_used >= self.host_cap {
-            return None;
+    /// Appends `id` to `gpu`'s LRU list as its most recent page.
+    fn push_tail(&mut self, gpu: usize, id: PageId) {
+        let link = id as u32;
+        let old = self.tail[gpu];
+        self.prev[id] = old;
+        self.next[id] = NIL;
+        match old {
+            NIL => self.head[gpu] = link,
+            t => self.next[t as usize] = link,
         }
-        self.pages
-            .iter()
-            .enumerate()
-            .filter_map(|(id, p)| p.as_ref().map(|p| (id, p)))
-            .filter(|(_, p)| p.home == PageHome::Gpu(gpu) && p.touch_step != step)
-            .min_by_key(|(id, p)| (p.last_touch, *id))
-            .map(|(id, _)| id)
+        self.tail[gpu] = link;
     }
 
-    /// Up to `k` LRU spill candidates on `gpu` in one slab scan — the
-    /// batched form of [`KvPager::spill_victim`]. Returns the `k`
-    /// GPU-resident pages with the oldest touches that were not touched
-    /// in `step`, in eviction order (oldest first, ties on the lower
-    /// page id), capped by the host pool's remaining room. Calling
-    /// [`KvPager::spill`] on each returned page in order is equivalent
-    /// to `k` alternating `spill_victim`/`spill` rounds, without the
-    /// per-victim rescan.
+    /// Removes `id` from `gpu`'s LRU list.
+    fn unlink(&mut self, gpu: usize, id: PageId) {
+        let (p, n) = (self.prev[id], self.next[id]);
+        match p {
+            NIL => self.head[gpu] = n,
+            p => self.next[p as usize] = n,
+        }
+        match n {
+            NIL => self.tail[gpu] = p,
+            n => self.prev[n as usize] = p,
+        }
+        self.prev[id] = NIL;
+        self.next[id] = NIL;
+    }
+
+    /// Up to `k` LRU spill candidates on `gpu`, in eviction order: the
+    /// GPU-resident pages with the oldest touches that were *not*
+    /// touched in the current `step` (pages being written this step are
+    /// pinned), capped by the host pool's remaining room. Calling
+    /// [`KvPager::spill`] on each returned page in order evicts them
+    /// oldest first. Walks `gpu`'s LRU list from its head, so the cost
+    /// is the victims plus the pinned pages skipped, not the slab.
     pub fn spill_victims(&self, gpu: usize, step: u64, k: usize) -> Vec<PageId> {
         let room = usize::try_from(self.host_cap.saturating_sub(self.host_used)).unwrap_or(0);
         let k = k.min(room);
-        if k == 0 {
-            return Vec::new();
+        let mut victims = Vec::with_capacity(k.min(self.gpu_used[gpu] as usize));
+        let mut at = self.head[gpu];
+        while victims.len() < k && at != NIL {
+            let id = at as usize;
+            if self.pages[id].expect("listed page is live").touch_step != step {
+                victims.push(id);
+            }
+            at = self.next[id];
         }
-        let mut eligible: Vec<(u64, PageId)> = self
-            .pages
-            .iter()
-            .enumerate()
-            .filter_map(|(id, p)| p.as_ref().map(|p| (id, p)))
-            .filter(|(_, p)| p.home == PageHome::Gpu(gpu) && p.touch_step != step)
-            .map(|(id, p)| (p.last_touch, id))
-            .collect();
-        if eligible.len() > k {
-            eligible.select_nth_unstable(k - 1);
-            eligible.truncate(k);
-        }
-        eligible.sort_unstable();
-        eligible.into_iter().map(|(_, id)| id).collect()
+        victims
     }
 
     /// Free pages remaining in `gpu`'s device pool.
@@ -232,6 +273,12 @@ impl KvPager {
             return false;
         };
         p.home = PageHome::Host;
+        let owner = p.owner;
+        self.unlink(gpu, page);
+        self.by_req
+            .get_mut(&owner)
+            .expect("live page has an owner")
+            .host += 1;
         self.gpu_used[gpu] -= 1;
         self.host_used += 1;
         self.spills += 1;
@@ -256,12 +303,18 @@ impl KvPager {
             return false;
         }
         p.home = PageHome::Gpu(gpu);
-        self.host_used -= 1;
-        self.gpu_used[gpu] += 1;
-        self.recalls += 1;
         self.touch_clock += 1;
         p.last_touch = self.touch_clock;
         p.touch_step = step;
+        let owner = p.owner;
+        self.push_tail(gpu, page);
+        self.by_req
+            .get_mut(&owner)
+            .expect("live page has an owner")
+            .host -= 1;
+        self.host_used -= 1;
+        self.gpu_used[gpu] += 1;
+        self.recalls += 1;
         true
     }
 
@@ -269,15 +322,16 @@ impl KvPager {
     /// counts by residency. Idempotent: a second call frees nothing.
     pub fn free_request(&mut self, req: u64) -> FreedPages {
         let mut freed = FreedPages::default();
-        let Some(ids) = self.by_req.remove(&req) else {
+        let Some(owned) = self.by_req.remove(&req) else {
             return freed;
         };
-        for id in ids {
+        for id in owned.ids {
             let Some(p) = self.pages[id].take() else {
                 continue;
             };
             match p.home {
                 PageHome::Gpu(g) => {
+                    self.unlink(g, id);
                     self.gpu_used[g] -= 1;
                     freed.gpu += 1;
                     self.frees_gpu += 1;
@@ -301,15 +355,12 @@ impl KvPager {
 
     /// Page ids of `req` in allocation order (empty slice if unknown).
     pub fn pages_of(&self, req: u64) -> &[PageId] {
-        self.by_req.get(&req).map(Vec::as_slice).unwrap_or(&[])
+        self.by_req.get(&req).map_or(&[], |r| r.ids.as_slice())
     }
 
     /// Number of `req`'s pages currently host-resident.
     pub fn host_pages_of(&self, req: u64) -> u64 {
-        self.pages_of(req)
-            .iter()
-            .filter(|&&id| self.page(id).map(|p| p.home) == Some(PageHome::Host))
-            .count() as u64
+        self.by_req.get(&req).map_or(0, |r| r.host)
     }
 
     /// Number of `req`'s pages currently on `gpu`.
@@ -350,9 +401,15 @@ impl KvPager {
         self.host_used * self.page_bytes
     }
 
-    /// Total live pages across all pools.
+    /// Total live pages across all pools, from the lifetime ledger.
     pub fn live_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
+        let live = (self.allocs - self.frees) as usize;
+        debug_assert_eq!(
+            live,
+            self.pages.iter().filter(|p| p.is_some()).count(),
+            "pager ledger diverged from the slab"
+        );
+        live
     }
 
     /// Whether no page is live anywhere (all requests fully freed).
@@ -368,6 +425,11 @@ mod tests {
     fn pager() -> KvPager {
         // 4 pages per GPU, 8 host pages, 1 KiB pages.
         KvPager::new(1024, 2, 4 * 1024, 8 * 1024)
+    }
+
+    /// The single LRU victim on `gpu` in `step`, if any.
+    fn victim(p: &KvPager, gpu: usize, step: u64) -> Option<PageId> {
+        p.spill_victims(gpu, step, 1).first().copied()
     }
 
     #[test]
@@ -388,7 +450,7 @@ mod tests {
         let a = p.try_alloc(1, 0, 1).unwrap();
         let b = p.try_alloc(2, 0, 2).unwrap();
         // Victim in step 2 must be `a` (b was touched this step).
-        assert_eq!(p.spill_victim(0, 2), Some(a));
+        assert_eq!(victim(&p, 0, 2), Some(a));
         assert!(p.spill(a));
         assert_eq!(p.host_used_pages(), 1);
         assert_eq!(p.host_pages_of(1), 1);
@@ -397,7 +459,7 @@ mod tests {
         assert_eq!(p.page(a).unwrap().owner, 1);
         assert_eq!(p.host_used_pages(), 0);
         // The recall counts as a step-3 touch: `a` is pinned for step 3.
-        assert_eq!(p.spill_victim(1, 3), None);
+        assert_eq!(victim(&p, 1, 3), None);
         let _ = b;
     }
 
@@ -412,7 +474,7 @@ mod tests {
         let mut serial = p.clone();
         let mut expect = Vec::new();
         for _ in 0..3 {
-            let v = serial.spill_victim(0, 9).unwrap();
+            let v = victim(&serial, 0, 9).unwrap();
             serial.spill(v);
             expect.push(v);
         }
@@ -444,10 +506,10 @@ mod tests {
         let a = p.try_alloc(1, 0, 1).unwrap();
         let _b = p.try_alloc(2, 0, 1).unwrap();
         // Everything touched in step 1 → no victim within step 1.
-        assert_eq!(p.spill_victim(0, 1), None);
+        assert_eq!(victim(&p, 0, 1), None);
         p.touch(a, 3);
         // In step 3, `a` is hot; b (older touch) is the victim.
-        assert_eq!(p.spill_victim(0, 3), Some(_b));
+        assert_eq!(victim(&p, 0, 3), Some(_b));
     }
 
     #[test]
@@ -485,7 +547,7 @@ mod tests {
         let b = p.try_alloc(1, 0, 1).unwrap();
         assert!(p.spill(a));
         assert!(!p.spill(b), "host pool full");
-        assert_eq!(p.spill_victim(0, 99), None, "no victim when host full");
+        assert_eq!(victim(&p, 0, 99), None, "no victim when host full");
         assert_eq!(p.host_used_pages(), 1);
     }
 

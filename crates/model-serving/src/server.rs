@@ -33,7 +33,7 @@ use crate::catalog::DeployedModel;
 use crate::config::{KvMode, ServerConfig};
 use crate::detect::{Detector, Transition};
 use crate::instance::{Instance, Residency};
-use crate::kvcache::{KvPager, PageHome};
+use crate::kvcache::{KvPager, PageHome, PageId};
 use crate::memory::{make_room_with, GpuCache};
 use crate::metrics::ServingReport;
 use crate::workload::Request;
@@ -940,7 +940,7 @@ fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             .map(|(i, _)| i)
             .expect("batch non-empty");
         let e = s.batches[g].entries.remove(vi);
-        let device_pages: Vec<crate::kvcache::PageId> = {
+        let device_pages: Vec<PageId> = {
             let pager = s.pager.as_ref().expect("decode enabled implies pager");
             pager
                 .pages_of(e.req)
@@ -949,22 +949,7 @@ fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
                 .filter(|&p| matches!(pager.page(p), Some(pg) if pg.home == PageHome::Gpu(g)))
                 .collect()
         };
-        let mut spilled = 0u64;
-        for p in device_pages {
-            let pager = s.pager.as_mut().expect("decode enabled implies pager");
-            if pager.spill(p) {
-                spilled += 1;
-                s.report.kv_spills += 1;
-                s.probe.emit(
-                    now,
-                    ProbeEvent::KvPageSpill {
-                        req: e.req,
-                        gpu: g,
-                        page: p,
-                    },
-                );
-            }
-        }
+        let spilled = spill_pages(s, now, g, device_pages);
         s.report.sessions_swapped += 1;
         s.probe.emit(
             now,
@@ -1004,6 +989,23 @@ fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     }
 }
 
+/// Spills `pages` of GPU `g` to the pinned-host pool, counting and
+/// probing each page that moves; returns how many moved.
+fn spill_pages(s: &mut ServerState, now: SimTime, g: usize, pages: Vec<PageId>) -> u64 {
+    let mut spilled = 0;
+    for page in pages {
+        let pager = s.pager.as_mut().expect("decode enabled implies pager");
+        let req = pager.page(page).expect("spilled page is live").owner;
+        if pager.spill(page) {
+            spilled += 1;
+            s.report.kv_spills += 1;
+            s.probe
+                .emit(now, ProbeEvent::KvPageSpill { req, gpu: g, page });
+        }
+    }
+    spilled
+}
+
 /// Launches one token step on GPU `g`: grows each entry's paged KV by
 /// its newly appended token (spilling LRU pages to pinned host memory
 /// when the device pool fills), places every host-resident page —
@@ -1030,24 +1032,9 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
         let want = pager
             .pages_for(needed)
             .saturating_sub(pager.pages_of(e.req).len() as u64);
-        // One batched LRU scan covers the whole growth, not a rescan
-        // per evicted page.
         let deficit = want.saturating_sub(pager.gpu_free_pages(g));
         let victims = pager.spill_victims(g, step_id, usize::try_from(deficit).unwrap_or(0));
-        for victim in victims {
-            let pager = s.pager.as_mut().expect("decode enabled implies pager");
-            let owner = pager.page(victim).expect("victim is live").owner;
-            pager.spill(victim);
-            s.report.kv_spills += 1;
-            s.probe.emit(
-                now,
-                ProbeEvent::KvPageSpill {
-                    req: owner,
-                    gpu: g,
-                    page: victim,
-                },
-            );
-        }
+        spill_pages(s, now, g, victims);
         for _ in 0..want {
             let pager = s.pager.as_mut().expect("decode enabled implies pager");
             let Some(p) = pager.try_alloc(e.req, g, step_id) else {
@@ -1089,53 +1076,52 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     let mut moved_bytes = 0.0f64;
     let mut recall_transfers = 0u64;
     for e in &entries {
-        let remaining = (e.tokens_target - e.tokens_done) as f64;
-        let host_pages: Vec<crate::kvcache::PageId> = {
-            let pager = s.pager.as_ref().expect("decode enabled implies pager");
-            pager
-                .pages_of(e.req)
-                .iter()
-                .copied()
-                .filter(|&p| matches!(pager.page(p), Some(pg) if pg.home == PageHome::Host))
-                .collect()
-        };
+        let pager = s.pager.as_ref().expect("decode enabled implies pager");
+        let host_pages = pager.host_pages_of(e.req);
+        if host_pages == 0 {
+            continue;
+        }
         // Page size and remaining horizon are uniform across one
         // entry's pages, so the placement is too.
+        let remaining = (e.tokens_target - e.tokens_done) as f64;
         let place = match kv_mode {
             KvMode::Dha => KvPlacement::Dha,
             KvMode::Recall => KvPlacement::Recall,
             KvMode::Auto => choose_kv(page_bytes, remaining, &gpu_spec.pcie, gpu_spec.mem_bw),
         };
-        if place == KvPlacement::Recall && kv_mode == KvMode::Recall {
-            // Forced recall evicts cold pages to make room (one batched
-            // scan); Auto only recalls into free space — its crossover
-            // math assumes recalled pages then stay resident, which an
-            // eviction cascade would violate.
-            let pager = s.pager.as_ref().expect("decode enabled implies pager");
-            let deficit = (host_pages.len() as u64).saturating_sub(pager.gpu_free_pages(g));
-            let victims = pager.spill_victims(g, step_id, usize::try_from(deficit).unwrap_or(0));
-            for victim in victims {
-                let pager = s.pager.as_mut().expect("decode enabled implies pager");
-                let owner = pager.page(victim).expect("victim is live").owner;
-                pager.spill(victim);
-                s.report.kv_spills += 1;
-                s.probe.emit(
-                    now,
-                    ProbeEvent::KvPageSpill {
-                        req: owner,
-                        gpu: g,
-                        page: victim,
-                    },
-                );
-            }
-        }
-        for p in host_pages {
-            let recalled = place == KvPlacement::Recall
-                && s.pager
-                    .as_mut()
-                    .expect("decode enabled implies pager")
-                    .recall(p, g, step_id);
-            if recalled {
+        // Forced recall evicts cold pages to make room; Auto only
+        // recalls into free space — its crossover math assumes recalled
+        // pages then stay resident, which an eviction cascade would
+        // violate.
+        let victims = if place == KvPlacement::Recall && kv_mode == KvMode::Recall {
+            let deficit = host_pages.saturating_sub(pager.gpu_free_pages(g));
+            pager.spill_victims(g, step_id, usize::try_from(deficit).unwrap_or(0))
+        } else {
+            Vec::new()
+        };
+        // Recalls fill the free device pages with the entry's first host
+        // pages in allocation order, picked before the evictions above
+        // can send more of its pages to the host.
+        let room = pager.gpu_free_pages(g) + victims.len() as u64;
+        let recall: Vec<PageId> = if place == KvPlacement::Recall && room > 0 {
+            pager
+                .pages_of(e.req)
+                .iter()
+                .copied()
+                .filter(|&p| matches!(pager.page(p), Some(pg) if pg.home == PageHome::Host))
+                .take(host_pages.min(room) as usize)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        spill_pages(s, now, g, victims);
+        // Every host page not recalled — wire-bound, or the device pool
+        // is full — is read in place over PCIe, overlapped with compute.
+        let mut dha_pages = host_pages;
+        for page in recall {
+            let pager = s.pager.as_mut().expect("decode enabled implies pager");
+            if pager.recall(page, g, step_id) {
+                dha_pages -= 1;
                 moved_bytes += page_bytes as f64;
                 recall_transfers += 1;
                 s.report.kv_recalls += 1;
@@ -1144,16 +1130,14 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
                     ProbeEvent::KvPageRecall {
                         req: e.req,
                         gpu: g,
-                        page: p,
+                        page,
                     },
                 );
-            } else {
-                // Wire-bound page — or the device pool is full: read it
-                // in place over PCIe, overlapped with compute.
-                dha_bytes += page_bytes as f64;
-                s.report.kv_dha_reads += 1;
             }
         }
+        // Whole-page byte sums are exact in f64 below 2^53.
+        dha_bytes += (dha_pages * page_bytes) as f64;
+        s.report.kv_dha_reads += dha_pages;
     }
     // Phase 3: price the device side. Weights are read once per distinct
     // kind in the batch, device-resident KV once, all at HBM bandwidth;

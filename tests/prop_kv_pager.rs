@@ -14,6 +14,8 @@ use model_serving::kvcache::{KvPager, PageHome};
 use proptest::prelude::*;
 
 const GPUS: usize = 2;
+/// Requests the random histories draw from.
+const REQS: u64 = 6;
 
 /// One step of a random pager history.
 #[derive(Debug, Clone)]
@@ -37,12 +39,12 @@ enum Op {
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            (0u64..6, 0usize..GPUS).prop_map(|(req, gpu)| Op::Alloc { req, gpu }),
+            (0u64..REQS, 0usize..GPUS).prop_map(|(req, gpu)| Op::Alloc { req, gpu }),
             (0usize..GPUS).prop_map(|gpu| Op::Spill { gpu }),
             (0usize..GPUS, 0usize..5).prop_map(|(gpu, k)| Op::BatchSpill { gpu, k }),
             (0usize..GPUS, 0usize..8).prop_map(|(gpu, nth)| Op::Recall { gpu, nth }),
-            (0u64..6, 0usize..8).prop_map(|(req, nth)| Op::Touch { req, nth }),
-            (0u64..6).prop_map(|req| Op::Free { req }),
+            (0u64..REQS, 0usize..8).prop_map(|(req, nth)| Op::Touch { req, nth }),
+            (0u64..REQS).prop_map(|req| Op::Free { req }),
             Just(Op::Step),
         ],
         1..150,
@@ -51,7 +53,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 
 /// Ground truth the pager never sees: live pages by id, plus which
 /// pages were touched (written, allocated or recalled) this step.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Shadow {
     live: BTreeMap<usize, (u64, PageHome)>,
     touched_this_step: BTreeSet<usize>,
@@ -64,7 +66,38 @@ impl Shadow {
         self.live.values().filter(|&&(_, h)| h == home).count() as u64
     }
 
-    fn check(&self, p: &KvPager) {
+    fn owned(&self, req: u64, home: PageHome) -> u64 {
+        self.live
+            .values()
+            .filter(|&&(owner, h)| owner == req && h == home)
+            .count() as u64
+    }
+
+    /// Reference LRU oracle: every page on `gpu` not touched in the
+    /// current step, oldest touch first (ties on the lower page id),
+    /// by a full scan of the shadow. Ignores host room.
+    fn eviction_order(&self, p: &KvPager, gpu: usize) -> Vec<usize> {
+        let mut order: Vec<(u64, usize)> = self
+            .live
+            .iter()
+            .filter(|(id, &(_, h))| h == PageHome::Gpu(gpu) && !self.touched_this_step.contains(id))
+            .map(|(&id, _)| (p.page(id).expect("shadow page is live").last_touch, id))
+            .collect();
+        order.sort_unstable();
+        order.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// The oracle's single spill victim on `gpu`: the head of its
+    /// eviction order, if the host pool has room.
+    fn victim(&self, p: &KvPager, gpu: usize) -> Option<usize> {
+        if p.host_used_pages() >= p.host_cap_pages() {
+            return None;
+        }
+        self.eviction_order(p, gpu).first().copied()
+    }
+
+    fn check(&self, p: &KvPager, step: u64) {
+        let room = (p.host_cap_pages() - p.host_used_pages()) as usize;
         for g in 0..GPUS {
             assert_eq!(
                 p.gpu_used_pages(g),
@@ -75,6 +108,29 @@ impl Shadow {
                 p.gpu_used_pages(g) <= p.gpu_cap_pages(g),
                 "gpu {g} over cap"
             );
+            // Asking for every page walks the whole LRU list, so a
+            // missed unlink or re-link shows up at once.
+            let mut order = self.eviction_order(p, g);
+            order.truncate(room);
+            assert_eq!(
+                p.spill_victims(g, step, self.live.len()),
+                order,
+                "gpu {g} LRU walk diverged from the oracle's eviction order"
+            );
+        }
+        for req in 0..REQS {
+            assert_eq!(
+                p.host_pages_of(req),
+                self.owned(req, PageHome::Host),
+                "req {req} host pages diverged from ground truth"
+            );
+            for g in 0..GPUS {
+                assert_eq!(
+                    p.gpu_pages_of(req, g),
+                    self.owned(req, PageHome::Gpu(g)),
+                    "req {req} pages on gpu {g} diverged from ground truth"
+                );
+            }
         }
         assert_eq!(
             p.host_used_pages(),
@@ -106,10 +162,13 @@ proptest! {
     #[test]
     fn random_histories_never_leak_and_counters_match_ground_truth(
         ops in arb_ops(),
+        host_pages in prop_oneof![Just(6u64), Just(16)],
     ) {
-        // 4 device pages per GPU and 6 host pages, 1 KiB each — small
-        // enough that random histories hit every full-pool edge.
-        let mut p = KvPager::new(1024, GPUS, 4 * 1024, 6 * 1024);
+        // 4 device pages per GPU, 1 KiB each — small enough that random
+        // histories hit every full-pool edge. A 6-page host pool fills
+        // up; a 16-page one never caps the victim walk, so `check` then
+        // compares each GPU's whole LRU list with the oracle.
+        let mut p = KvPager::new(1024, GPUS, 4 * 1024, host_pages * 1024);
         let mut shadow = Shadow::default();
         let mut step = 1u64;
         for op in ops {
@@ -131,7 +190,9 @@ proptest! {
                     }
                 }
                 Op::Spill { gpu } => {
-                    if let Some(v) = p.spill_victim(gpu, step) {
+                    let got = p.spill_victims(gpu, step, 1).first().copied();
+                    prop_assert_eq!(got, shadow.victim(&p, gpu));
+                    if let Some(v) = got {
                         spill_one(&mut p, &mut shadow, step, gpu, v);
                     } else {
                         // No victim: every resident page is hot, or the
@@ -146,16 +207,18 @@ proptest! {
                     }
                 }
                 Op::BatchSpill { gpu, k } => {
-                    // The batched selection must equal k rounds of
+                    // The list walk must equal k rounds of the oracle's
                     // single-victim selection, then actually spill.
                     let batched = p.spill_victims(gpu, step, k);
                     let mut serial = p.clone();
+                    let mut serial_shadow = shadow.clone();
                     let mut expect = Vec::new();
                     for _ in 0..k {
-                        let Some(v) = serial.spill_victim(gpu, step) else {
+                        let Some(v) = serial_shadow.victim(&serial, gpu) else {
                             break;
                         };
                         serial.spill(v);
+                        serial_shadow.live.get_mut(&v).unwrap().1 = PageHome::Host;
                         expect.push(v);
                     }
                     prop_assert_eq!(&batched, &expect);
@@ -221,10 +284,10 @@ proptest! {
                     shadow.touched_this_step.clear();
                 }
             }
-            shadow.check(&p);
+            shadow.check(&p, step);
         }
         // Drain everything: a fully freed pager reports empty.
-        for req in 0..6u64 {
+        for req in 0..REQS {
             let freed = p.free_request(req);
             shadow.frees += freed.gpu + freed.host;
         }
