@@ -9,7 +9,9 @@ use exec_planner::generate::PlanMode;
 use gpu_topology::netmap::NetMap;
 use gpu_topology::presets::p3_8xlarge;
 use model_serving::{poisson, run_server_probed, DeployedModel, ServerConfig};
-use simcore::probe::{to_jsonl, to_perfetto, Event, PerfettoOptions, Probe, ProbeEvent};
+use simcore::probe::{
+    parse_jsonl, to_jsonl, to_perfetto, Event, PerfettoOptions, Probe, ProbeEvent,
+};
 use simcore::time::SimTime;
 
 /// Runs an oversubscribed BERT-Base serving experiment (forcing cold
@@ -163,4 +165,100 @@ fn disabled_probe_matches_plain_run() {
     assert_eq!(probed.cold_starts, plain.cold_starts);
     assert_eq!(probed.evictions, plain.evictions);
     assert_eq!(probed.p99_ms(), plain.p99_ms());
+}
+
+/// 64-bit FNV-1a, enough to pin multi-MB exporter outputs without
+/// checking them in.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn perfetto_of(jsonl: &str, opts: &PerfettoOptions) -> String {
+    to_perfetto(&parse_jsonl(jsonl).expect("golden parses"), opts)
+}
+
+fn p3_link_names() -> PerfettoOptions {
+    let (_, map) = NetMap::build(&p3_8xlarge()).unwrap();
+    PerfettoOptions {
+        link_names: map.link_names(),
+    }
+}
+
+#[test]
+fn golden_trace_perfetto_export_matches_checked_in_bytes() {
+    let got = perfetto_of(
+        include_str!("data/golden_trace.jsonl"),
+        &PerfettoOptions::default(),
+    );
+    let want = include_str!("data/golden_trace.perfetto.json");
+    if got != want {
+        let line = got
+            .lines()
+            .zip(want.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+        panic!(
+            "golden_trace.perfetto.json differs first at line {} (got {} bytes, want {})",
+            line + 1,
+            got.len(),
+            want.len()
+        );
+    }
+}
+
+/// The fault, detection and decode goldens exercise exporter arms the
+/// one-shot golden never reaches (aborts, sheds, re-plans, detector
+/// verdicts, token steps, KV pages, named link counters). Their Perfetto
+/// output is pinned by length and digest.
+#[test]
+fn variant_golden_perfetto_exports_are_pinned() {
+    let named = p3_link_names();
+    let default = PerfettoOptions::default();
+    let cases: [(&str, &str, &PerfettoOptions, usize, u64); 5] = [
+        (
+            "golden_faulted.jsonl",
+            include_str!("data/golden_faulted.jsonl"),
+            &default,
+            1_792_879,
+            0xd1b7_8713_02ab_eb4e,
+        ),
+        (
+            "golden_detection.jsonl",
+            include_str!("data/golden_detection.jsonl"),
+            &default,
+            8_253_253,
+            0x144c_c5a9_79e4_3621,
+        ),
+        (
+            "golden_decode.jsonl",
+            include_str!("data/golden_decode.jsonl"),
+            &default,
+            3_816_107,
+            0xeff8_d562_88fb_cd14,
+        ),
+        (
+            "golden_trace.jsonl (p3 link names)",
+            include_str!("data/golden_trace.jsonl"),
+            &named,
+            907_330,
+            0xe512_feb5_bbbb_1182,
+        ),
+        (
+            "golden_faulted.jsonl (p3 link names)",
+            include_str!("data/golden_faulted.jsonl"),
+            &named,
+            1_841_285,
+            0x2451_64c7_ffc3_bfdf,
+        ),
+    ];
+    for (name, jsonl, opts, len, digest) in cases {
+        let out = perfetto_of(jsonl, opts);
+        assert_eq!(
+            (out.len(), fnv1a64(out.as_bytes())),
+            (len, digest),
+            "{name}: Perfetto export drifted"
+        );
+    }
 }
