@@ -14,9 +14,13 @@ use gpu_topology::presets::p3_8xlarge;
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_default();
     let model = match arg.to_lowercase().as_str() {
+        "" | "bert-base" | "bert" => ModelId::BertBase,
         "resnet-50" | "resnet50" => ModelId::ResNet50,
         "gpt2" | "gpt-2" => ModelId::Gpt2,
-        _ => ModelId::BertBase,
+        _ => {
+            eprintln!("usage: timeline [bert-base|gpt2|resnet50]");
+            std::process::exit(2);
+        }
     };
     let machine = p3_8xlarge();
     let dp = DeepPlan::new(machine.clone()).with_exact_profile();
@@ -36,14 +40,14 @@ fn main() {
             verify_loads: false,
             hedge: None,
         };
-        let (res, trace) = run_traced(machine.clone(), spec);
+        let (res, events) = run_traced(machine.clone(), spec);
         println!(
             "== {model} under {} — {:.2} ms (stall {:.2} ms) ==",
             mode.label(),
             res.latency().as_ms_f64(),
             res.stall.as_ms_f64()
         );
-        println!("{}", render(&lanes(&trace, 0), 100));
+        println!("{}", render(&lanes(&events, 0), 100));
     }
     println!("legend: '#' busy, '=' DHA execution, '.' stalled, ' ' idle");
 }

@@ -4,10 +4,10 @@
 
 use deepplan::{DeepPlan, ModelId, PlanMode};
 use dnn_models::zoo::moe::{gpt2_moe, MoeCfg};
-use exec_engine::chrome::to_chrome_trace;
 use exec_engine::launch::LaunchSpec;
 use exec_engine::single::run_traced;
 use gpu_topology::presets::{p3_8xlarge, single_v100};
+use simcore::probe::{to_perfetto, PerfettoOptions};
 
 #[test]
 fn budget_sweep_is_feasible_monotone_and_runnable() {
@@ -59,11 +59,13 @@ fn chrome_trace_of_a_pt_run_is_valid_json_with_all_lanes() {
     let machine = p3_8xlarge();
     let dp = DeepPlan::new(machine.clone()).with_exact_profile();
     let b = dp.plan_mode(ModelId::BertBase, 1, PlanMode::PtDha);
+    let secondaries = b.secondaries_for(0);
+    assert!(!secondaries.is_empty(), "PT+DHA plan without secondaries");
     let spec = LaunchSpec {
         rt: b.runtime.clone(),
         plan: b.plan.clone(),
         primary: 0,
-        secondaries: b.secondaries_for(0),
+        secondaries: secondaries.clone(),
         warm: false,
         skip_exec: false,
         bulk_migrate: false,
@@ -72,8 +74,8 @@ fn chrome_trace_of_a_pt_run_is_valid_json_with_all_lanes() {
         verify_loads: false,
         hedge: None,
     };
-    let (_, trace) = run_traced(machine, spec);
-    let json = to_chrome_trace(&trace);
+    let (_, events) = run_traced(machine, spec);
+    let json = to_perfetto(&events, &PerfettoOptions::default());
     let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
     let events = v["traceEvents"].as_array().expect("event array");
     assert!(events.len() > 100, "only {} events", events.len());
@@ -82,8 +84,18 @@ fn chrome_trace_of_a_pt_run_is_valid_json_with_all_lanes() {
         .filter(|e| e["name"] == "thread_name")
         .filter_map(|e| e["args"]["name"].as_str())
         .collect();
-    for lane in ["exec", "load s0", "load s1", "migrate"] {
-        assert!(names.contains(&lane), "missing lane {lane}: {names:?}");
+    // The primary's exec and load lanes, then one load lane (its
+    // transmission slot) and one NVLink lane per secondary.
+    let mut want = vec!["gpu0 exec".to_string(), "gpu0 load".to_string()];
+    for g in &secondaries {
+        want.push(format!("gpu{g} load"));
+        want.push(format!("gpu{g} nvlink out"));
+    }
+    for lane in &want {
+        assert!(
+            names.contains(&lane.as_str()),
+            "missing lane {lane}: {names:?}"
+        );
     }
 }
 
