@@ -2,6 +2,8 @@
 //! the serving stack, exporter round-trips, and determinism of the
 //! JSONL event log across identical runs.
 
+mod common;
+
 use std::collections::HashSet;
 
 use dnn_models::zoo::{build, ModelId};
@@ -13,6 +15,8 @@ use simcore::probe::{
     parse_jsonl, to_jsonl, to_perfetto, Event, PerfettoOptions, Probe, ProbeEvent,
 };
 use simcore::time::SimTime;
+
+use common::fnv1a64;
 
 /// Runs an oversubscribed BERT-Base serving experiment (forcing cold
 /// starts, evictions and PT migrations) and returns the event log.
@@ -165,14 +169,6 @@ fn disabled_probe_matches_plain_run() {
     assert_eq!(probed.cold_starts, plain.cold_starts);
     assert_eq!(probed.evictions, plain.evictions);
     assert_eq!(probed.p99_ms(), plain.p99_ms());
-}
-
-/// 64-bit FNV-1a, enough to pin multi-MB exporter outputs without
-/// checking them in.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 fn perfetto_of(jsonl: &str, opts: &PerfettoOptions) -> String {
