@@ -123,35 +123,49 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// A rejected `--page-kib` value. The pager subdivides its pools into
-/// fixed pages and sizes footprints with power-of-two arithmetic, so a
-/// zero or non-power-of-two page would corrupt every byte count — the
-/// value is refused before any simulation state exists.
+/// A rejected size flag. The pager subdivides its pools into fixed
+/// pages and sizes footprints with power-of-two arithmetic, so a zero or
+/// non-power-of-two page would corrupt every byte count; and a size whose
+/// byte count overflows `u64` would silently wrap. Either is refused
+/// before any simulation state exists.
 #[derive(Debug, PartialEq, Eq)]
-enum PageSizeError {
+enum SizeError {
     Zero,
     NotPowerOfTwo(u64),
+    Overflow(u64),
 }
 
-impl std::fmt::Display for PageSizeError {
+impl std::fmt::Display for SizeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PageSizeError::Zero => write!(f, "page size must be non-zero"),
-            PageSizeError::NotPowerOfTwo(kib) => {
+            SizeError::Zero => write!(f, "page size must be non-zero"),
+            SizeError::NotPowerOfTwo(kib) => {
                 write!(f, "page size must be a power of two KiB, got {kib}")
             }
+            SizeError::Overflow(n) => write!(f, "{n} overflows a 64-bit byte count"),
         }
     }
 }
 
-fn validate_page_kib(kib: u64) -> Result<u64, PageSizeError> {
+fn validate_page_kib(kib: u64) -> Result<u64, SizeError> {
     if kib == 0 {
-        return Err(PageSizeError::Zero);
+        return Err(SizeError::Zero);
     }
     if !kib.is_power_of_two() {
-        return Err(PageSizeError::NotPowerOfTwo(kib));
+        return Err(SizeError::NotPowerOfTwo(kib));
     }
     Ok(kib)
+}
+
+/// `n` units of `unit` bytes each, refusing a product that does not fit.
+fn to_bytes(n: u64, unit: u64) -> Result<u64, SizeError> {
+    n.checked_mul(unit).ok_or(SizeError::Overflow(n))
+}
+
+/// Prints a rejected size flag and exits 1.
+fn size_error(flag: &str, e: SizeError) -> ! {
+    eprintln!("error: {flag}: {e}");
+    std::process::exit(1)
 }
 
 fn parse_model(s: &str) -> Option<ModelId> {
@@ -388,7 +402,11 @@ fn main() {
             let id = args.model.unwrap_or_else(|| usage());
             let dp = DeepPlan::new(args.machine.clone());
             let b = match args.budget_mib {
-                Some(mib) => dp.plan_with_budget(id, args.batch, mib << 20),
+                Some(mib) => {
+                    let bytes =
+                        to_bytes(mib, 1 << 20).unwrap_or_else(|e| size_error("--budget-mib", e));
+                    dp.plan_with_budget(id, args.batch, bytes)
+                }
                 None => dp.plan_mode(id, args.batch, args.mode),
             };
             println!(
@@ -442,16 +460,13 @@ fn main() {
             cfg.admission.queue_cap = args.queue_cap;
             cfg.decode.enabled = args.decode;
             if let Some(kib) = args.page_kib {
-                match validate_page_kib(kib) {
-                    Ok(kib) => cfg.decode.page_bytes = kib << 10,
-                    Err(e) => {
-                        eprintln!("error: --page-kib: {e}");
-                        std::process::exit(1);
-                    }
-                }
+                cfg.decode.page_bytes = validate_page_kib(kib)
+                    .and_then(|kib| to_bytes(kib, 1 << 10))
+                    .unwrap_or_else(|e| size_error("--page-kib", e));
             }
             if let Some(mib) = args.kv_pool_mib {
-                cfg.decode.gpu_pool_bytes = mib << 20;
+                cfg.decode.gpu_pool_bytes =
+                    to_bytes(mib, 1 << 20).unwrap_or_else(|e| size_error("--kv-pool-mib", e));
             }
             if let Some(mode) = args.kv_mode {
                 cfg.decode.kv_mode = mode;
@@ -655,10 +670,33 @@ mod tests {
 
     #[test]
     fn page_kib_validation_rejects_zero_and_non_powers() {
-        assert_eq!(validate_page_kib(0), Err(PageSizeError::Zero));
-        assert_eq!(validate_page_kib(48), Err(PageSizeError::NotPowerOfTwo(48)));
-        assert_eq!(validate_page_kib(3), Err(PageSizeError::NotPowerOfTwo(3)));
+        assert_eq!(validate_page_kib(0), Err(SizeError::Zero));
+        assert_eq!(validate_page_kib(48), Err(SizeError::NotPowerOfTwo(48)));
+        assert_eq!(validate_page_kib(3), Err(SizeError::NotPowerOfTwo(3)));
         assert_eq!(validate_page_kib(1), Ok(1));
         assert_eq!(validate_page_kib(64), Ok(64));
+    }
+
+    #[test]
+    fn size_flags_reject_byte_counts_that_overflow() {
+        // 2^54 KiB is a power of two, but 2^64 bytes wraps to a 0-byte page.
+        let kib = 1u64 << 54;
+        assert_eq!(validate_page_kib(kib), Ok(kib));
+        assert_eq!(to_bytes(kib, 1 << 10), Err(SizeError::Overflow(kib)));
+        assert_eq!(to_bytes(1 << 53, 1 << 10), Ok(1 << 63));
+        // 2^44 MiB would silently become a 0-byte KV pool.
+        assert_eq!(
+            to_bytes(1 << 44, 1 << 20),
+            Err(SizeError::Overflow(1 << 44))
+        );
+        assert_eq!(
+            to_bytes((1 << 44) - 1, 1 << 20),
+            Ok(u64::MAX - ((1 << 20) - 1))
+        );
+        assert_eq!(to_bytes(16, 1 << 20), Ok(16 << 20));
+        assert_eq!(
+            SizeError::Overflow(kib).to_string(),
+            "18014398509481984 overflows a 64-bit byte count"
+        );
     }
 }
