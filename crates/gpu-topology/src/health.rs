@@ -57,11 +57,6 @@ impl LinkHealth {
     pub fn factor(&self, link: LinkId) -> f64 {
         self.factor[link.0]
     }
-
-    /// Whether any link is currently degraded.
-    pub fn any_degraded(&self) -> bool {
-        self.factor.iter().any(|&f| f < 1.0)
-    }
 }
 
 /// Up/down state per GPU.
@@ -132,17 +127,17 @@ mod tests {
         let l = map.gpu_pcie[0];
         let healthy = health.healthy_capacity(l);
         assert!((healthy - 12e9).abs() < 1.0);
-        assert!(!health.any_degraded());
+        assert_eq!(health.factor(l), 1.0);
 
         let degraded = health.degrade(l, 0.25);
         assert!((degraded - 3e9).abs() < 1.0);
-        assert!(health.any_degraded());
+        assert_eq!(health.factor(l), 0.25);
         // A second fault replaces, not compounds.
         let worse = health.degrade(l, 0.1);
         assert!((worse - 1.2e9).abs() < 1.0);
         // Restore returns to the snapshot no matter what was active.
         assert!((health.restore(l) - healthy).abs() < 1.0);
-        assert!(!health.any_degraded());
+        assert_eq!(health.factor(l), 1.0);
         // Zero factors clamp instead of zeroing the link.
         assert!(health.degrade(l, 0.0) >= healthy * 0.01 - 1.0);
     }

@@ -6,37 +6,22 @@ use simcore::time::SimDur;
 
 use crate::memory::EvictionPolicy;
 
+/// Per-GPU bytes withheld from the model cache (CUDA context, activation
+/// workspace, PT staging area). Calibrated so a V100 holds ~25 BERT-Base
+/// instances, matching Figure 13's PipeSwitch capacity of 100 instances
+/// on four GPUs.
+const RESERVE_BYTES: u64 = 5_632 << 20;
+
 /// Robustness knobs: how the server reacts to faults and overload.
 ///
-/// The defaults are behavior-preserving on a healthy run: no deadline,
-/// priority floor 0 (nothing shed), and retries that only trigger when a
-/// GPU actually dies.
-#[derive(Debug, Clone)]
+/// The default is behavior-preserving on a healthy run: no deadline.
+/// Retries after a lost run are fixed by the server (three, with a
+/// linear 2 ms backoff) and only trigger when a GPU actually dies.
+#[derive(Debug, Clone, Default)]
 pub struct FaultPolicy {
     /// Per-request deadline measured from arrival; a request still
     /// undispatched past it is shed. `None` disables deadline shedding.
     pub deadline: Option<SimDur>,
-    /// Retry budget after a run is lost to a GPU failure; exhausting it
-    /// sheds the request.
-    pub max_retries: u32,
-    /// Base retry backoff; attempt `n` waits `n × retry_backoff` before
-    /// re-queueing on a healthy GPU.
-    pub retry_backoff: SimDur,
-    /// Graceful degradation: while the cluster is degraded (a GPU down
-    /// or a link below healthy capacity), arriving requests with
-    /// priority strictly below this floor are shed. 0 sheds nothing.
-    pub shed_priority_floor: u8,
-}
-
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy {
-            deadline: None,
-            max_retries: 3,
-            retry_backoff: SimDur::from_millis(2),
-            shed_priority_floor: 0,
-        }
-    }
 }
 
 /// Self-healing knobs: whether and how the server re-plans around a
@@ -45,30 +30,12 @@ impl Default for FaultPolicy {
 /// Disabled by default — a healthy run with recovery off is byte-identical
 /// to the pre-recovery server, and even with recovery *on* a run that sees
 /// no health transitions never re-plans.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryPolicy {
     /// Master switch for the recovery manager (re-plan on health
-    /// transitions, plan hot-swap, rollback when capacity returns).
+    /// transitions after a 100 ms settle window, plan hot-swap with live
+    /// migration of grown footprints, rollback when capacity returns).
     pub enabled: bool,
-    /// Hysteresis window: a health transition arms a re-plan that only
-    /// fires if no *further* transition lands within this window, so a
-    /// flapping link produces one re-plan, not one per flap edge.
-    pub settle: SimDur,
-    /// When a swapped-in plan needs more resident bytes than the old one
-    /// (e.g. rollback from DHA-heavy back to the full plan), stream the
-    /// delta to already-loaded instances over the host link instead of
-    /// waiting for natural cold starts.
-    pub migrate: bool,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            enabled: false,
-            settle: SimDur::from_millis(100),
-            migrate: true,
-        }
-    }
 }
 
 /// Gray-failure detection: inferring link/GPU health from observable
@@ -79,46 +46,23 @@ impl Default for RecoveryPolicy {
 /// server without the detector compiled in, and even with detection *on*
 /// a fault-free run only does arithmetic (baselines update, no event is
 /// scheduled and no plan changes).
+///
+/// With the detector on, arriving weight blocks are always
+/// checksum-verified and re-fetched on mismatch.
 #[derive(Debug, Clone)]
 pub struct DetectionPolicy {
     /// Master switch for the detector.
     pub enabled: bool,
-    /// Suspicion score (phi-accrual style, ≈ -log10 of the probability
-    /// that the observation is healthy noise) at which a strike is
-    /// recorded against a link or GPU.
-    pub suspect_threshold: f64,
-    /// Observations a baseline needs before it can raise suspicion;
-    /// below this the detector only learns.
-    pub min_samples: u32,
-    /// Consecutive over-threshold strikes required to quarantine, so one
-    /// slow transfer (queueing noise, contention burst) never trips it.
-    pub strikes: u32,
-    /// Time a quarantined target waits before entering probation and
-    /// receiving canary traffic.
-    pub probation: SimDur,
-    /// Clean canary transfers required to reinstate a probing link.
-    pub canaries: u32,
-    /// Size of each canary transfer.
-    pub canary_bytes: u64,
     /// Hedge weight transfers whose path crosses a suspected link: race
     /// a duplicate once a block overruns its expected wire time.
     pub hedge: bool,
-    /// Checksum-verify arriving weight blocks and re-fetch on mismatch.
-    pub checksum: bool,
 }
 
 impl Default for DetectionPolicy {
     fn default() -> Self {
         DetectionPolicy {
             enabled: false,
-            suspect_threshold: 8.0,
-            min_samples: 8,
-            strikes: 2,
-            probation: SimDur::from_millis(200),
-            canaries: 3,
-            canary_bytes: 32 << 20,
             hedge: true,
-            checksum: true,
         }
     }
 }
@@ -155,8 +99,9 @@ pub enum KvMode {
     Recall,
 }
 
-/// Autoregressive-decode knobs: paged KV-cache pools, continuous-batching
-/// width and the spilled-page placement mode.
+/// Autoregressive-decode knobs: paged KV-cache pools and the spilled-page
+/// placement mode. Continuous batching admits up to eight requests per
+/// GPU.
 ///
 /// Disabled by default and fully inert when off: no pager is consulted,
 /// no decode event is emitted, and one-shot serving stays byte-identical
@@ -172,9 +117,6 @@ pub struct DecodePolicy {
     pub gpu_pool_bytes: u64,
     /// Pinned-host spill pool shared by all GPUs.
     pub host_pool_bytes: u64,
-    /// Maximum requests decoding together on one GPU (continuous
-    /// batching admits joiners at token boundaries up to this width).
-    pub max_batch: usize,
     /// Placement of host-spilled pages: recall vs direct-host-access.
     pub kv_mode: KvMode,
 }
@@ -186,7 +128,6 @@ impl Default for DecodePolicy {
             page_bytes: 16 << 10,
             gpu_pool_bytes: 256 << 20,
             host_pool_bytes: 4 << 30,
-            max_batch: 8,
             kv_mode: KvMode::Auto,
         }
     }
@@ -217,6 +158,10 @@ pub struct SloTier {
 /// Disabled by default and fully inert when off: no checkpoint flow is
 /// started, no new probe event is emitted, and a decode run is
 /// byte-identical to a server without the resilience layer compiled in.
+///
+/// Checkpoint mirrors may burst up to 8 MiB. Swap-out freezes a session
+/// once a GPU's device KV pool is 90 % full, and frozen sessions resume
+/// below 50 %.
 #[derive(Debug, Clone)]
 pub struct ResiliencePolicy {
     /// Master switch for the resilience layer.
@@ -229,17 +174,6 @@ pub struct ResiliencePolicy {
     /// never starves foreground DHA reads and recalls. 0 disables
     /// checkpointing (every crash victim re-prefills).
     pub checkpoint_bw: f64,
-    /// Burst cap of the checkpoint token bucket, in bytes.
-    pub checkpoint_burst: u64,
-    /// Enable preemptive whole-session swap-out under KV-pool pressure
-    /// or priority inversion.
-    pub swap: bool,
-    /// Device-pool occupancy fraction at which swap-out triggers.
-    pub swap_out_above: f64,
-    /// Occupancy fraction below which frozen sessions resume (kept well
-    /// under `swap_out_above` for hysteresis, so the pool does not
-    /// thrash sessions in and out).
-    pub resume_below: f64,
     /// TTFT/TPOT SLO tiers; empty disables tiered admission and the
     /// token-level TPOT degradation policy.
     pub tiers: Vec<SloTier>,
@@ -251,10 +185,6 @@ impl Default for ResiliencePolicy {
             enabled: false,
             checkpoint_every: 4,
             checkpoint_bw: 2e9,
-            checkpoint_burst: 8 << 20,
-            swap: true,
-            swap_out_above: 0.9,
-            resume_below: 0.5,
             tiers: Vec::new(),
         }
     }
@@ -302,11 +232,6 @@ pub struct ServerConfig {
     pub mode: PlanMode,
     /// Target SLO for goodput accounting.
     pub slo: SimDur,
-    /// Per-GPU bytes withheld from the model cache (CUDA context,
-    /// activation workspace, PT staging area). Calibrated so a V100 holds
-    /// ~25 BERT-Base instances, matching Figure 13's PipeSwitch capacity
-    /// of 100 instances on four GPUs.
-    pub reserve_bytes: u64,
     /// Maximum GPUs per parallel transmission (paper: 2 on p3.8xlarge).
     pub max_pt_gpus: usize,
     /// Pinned host memory available for the model store (a p3.8xlarge has
@@ -314,9 +239,7 @@ pub struct ServerConfig {
     pub host_mem_bytes: u64,
     /// Cache-eviction policy (the paper uses LRU).
     pub eviction: EvictionPolicy,
-    /// Width of the reporting time buckets (Figure 15 uses one minute).
-    pub bucket: SimDur,
-    /// Robustness policy (deadlines, retries, shedding).
+    /// Robustness policy (deadline shedding).
     pub faults: FaultPolicy,
     /// Self-healing policy (re-plan, hot-swap, migrate, rollback).
     pub recovery: RecoveryPolicy,
@@ -335,17 +258,15 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Paper-default configuration for a machine and mode: 100 ms SLO,
-    /// 5.5 GiB per-GPU reserve, PT capped at 2 GPUs, 1-minute buckets.
+    /// PT capped at 2 GPUs.
     pub fn paper_default(machine: Machine, mode: PlanMode) -> Self {
         ServerConfig {
             machine,
             mode,
             slo: SimDur::from_millis(100),
-            reserve_bytes: 5_632 << 20,
             max_pt_gpus: 2,
             host_mem_bytes: 244 << 30,
             eviction: EvictionPolicy::Lru,
-            bucket: SimDur::from_secs(60),
             faults: FaultPolicy::default(),
             recovery: RecoveryPolicy::default(),
             admission: AdmissionPolicy::default(),
@@ -355,12 +276,10 @@ impl ServerConfig {
         }
     }
 
-    /// Usable model-cache bytes on GPU `g`.
+    /// Usable model-cache bytes on GPU `g`: its memory less the 5.5 GiB
+    /// reserve.
     pub fn cache_bytes(&self, g: usize) -> u64 {
-        self.machine
-            .gpu(g)
-            .mem_bytes
-            .saturating_sub(self.reserve_bytes)
+        self.machine.gpu(g).mem_bytes.saturating_sub(RESERVE_BYTES)
     }
 }
 

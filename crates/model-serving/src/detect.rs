@@ -24,10 +24,10 @@
 //! without `erf` so scoring stays cheap and dependency-free.
 //!
 //! Hysteresis is built in at both ends: a baseline must see
-//! `min_samples` observations before it may raise suspicion, a single
+//! [`MIN_SAMPLES`] observations before it may raise suspicion, a single
 //! over-threshold ratio only records a *strike* (the target stays
-//! healthy until `strikes` land consecutively), and a quarantined
-//! target must earn `canaries` clean probe transfers to come back.
+//! healthy until [`STRIKES`] land consecutively), and a quarantined
+//! link must earn [`CANARIES`] clean probe transfers to come back.
 //! Baselines only learn from non-suspicious observations while healthy,
 //! so a fault cannot teach the detector that slow is normal.
 
@@ -35,7 +35,17 @@ use simcore::flow::LinkId;
 use simcore::metrics::Welford;
 use simcore::probe::DetectState;
 
-use crate::config::DetectionPolicy;
+/// Suspicion score (phi-accrual style, ≈ -log10 of the probability that
+/// the observation is healthy noise) at which a strike is recorded.
+const SUSPECT_THRESHOLD: f64 = 8.0;
+/// Observations a baseline needs before it can raise suspicion; below
+/// this the detector only learns.
+const MIN_SAMPLES: u32 = 8;
+/// Consecutive over-threshold strikes required to quarantine, so one
+/// slow transfer (queueing noise, contention burst) never trips it.
+const STRIKES: u32 = 2;
+/// Clean canary transfers required to reinstate a probing link.
+const CANARIES: u32 = 3;
 
 /// Running baseline of healthy observation ratios, built on the shared
 /// [`simcore::metrics::Welford`] accumulator.
@@ -137,6 +147,15 @@ impl Track {
     }
 }
 
+/// A link or GPU the detector tracks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target {
+    /// A link of the machine's flow network.
+    Link(LinkId),
+    /// A GPU, by index.
+    Gpu(usize),
+}
+
 /// A state change the detector inferred; the host maps these onto probe
 /// events, counters, re-planning and canary traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,14 +170,26 @@ pub enum Transition {
     GpuQuarantined(usize),
     /// A quarantined GPU is optimistically reinstated after probation
     /// (compute has no cheap canary; a still-slow GPU re-quarantines
-    /// after `strikes` more bad observations).
+    /// after [`STRIKES`] more bad observations).
     GpuReinstated(usize),
+}
+
+impl Transition {
+    /// The target that changed state and the state it entered.
+    pub fn split(self) -> (Target, DetectState) {
+        match self {
+            Transition::LinkQuarantined(l) => (Target::Link(l), DetectState::Quarantined),
+            Transition::LinkProbation(l) => (Target::Link(l), DetectState::Probation),
+            Transition::LinkReinstated(l) => (Target::Link(l), DetectState::Healthy),
+            Transition::GpuQuarantined(g) => (Target::Gpu(g), DetectState::Quarantined),
+            Transition::GpuReinstated(g) => (Target::Gpu(g), DetectState::Healthy),
+        }
+    }
 }
 
 /// Observation-driven health inference over a machine's links and GPUs.
 #[derive(Debug, Clone)]
 pub struct Detector {
-    policy: DetectionPolicy,
     links: Vec<Track>,
     gpus: Vec<Track>,
 }
@@ -166,17 +197,11 @@ pub struct Detector {
 impl Detector {
     /// Creates a detector with empty baselines for `n_links` links and
     /// `n_gpus` GPUs.
-    pub fn new(policy: DetectionPolicy, n_links: usize, n_gpus: usize) -> Self {
+    pub fn new(n_links: usize, n_gpus: usize) -> Self {
         Detector {
-            policy,
             links: vec![Track::default(); n_links],
             gpus: vec![Track::default(); n_gpus],
         }
-    }
-
-    /// The policy this detector runs under.
-    pub fn policy(&self) -> &DetectionPolicy {
-        &self.policy
     }
 
     /// Inferred state of a link.
@@ -201,42 +226,36 @@ impl Detector {
         }
     }
 
-    /// Whether any target is currently quarantined or probing.
-    pub fn any_suspected(&self) -> bool {
-        self.links
-            .iter()
-            .chain(&self.gpus)
-            .any(|t| t.state != DetectState::Healthy)
+    fn track(&self, target: Target) -> Option<&Track> {
+        match target {
+            Target::Link(l) => self.links.get(l.0),
+            Target::Gpu(g) => self.gpus.get(g),
+        }
     }
 
-    /// Epoch of a link's track (probation-timer guard).
-    pub fn link_epoch(&self, l: LinkId) -> u64 {
-        self.links.get(l.0).map_or(0, |t| t.epoch)
+    fn track_mut(&mut self, target: Target) -> Option<&mut Track> {
+        match target {
+            Target::Link(l) => self.links.get_mut(l.0),
+            Target::Gpu(g) => self.gpus.get_mut(g),
+        }
     }
 
-    /// Epoch of a GPU's track (probation-timer guard).
-    pub fn gpu_epoch(&self, g: usize) -> u64 {
-        self.gpus.get(g).map_or(0, |t| t.epoch)
+    /// Epoch of a target's track (probation-timer guard).
+    pub fn epoch(&self, target: Target) -> u64 {
+        self.track(target).map_or(0, |t| t.epoch)
     }
 
-    /// Suspicion of the most recent observation on a link, in
+    /// Suspicion of the most recent observation on a target, in
     /// milli-units.
-    pub fn link_score_milli(&self, l: LinkId) -> u64 {
-        self.links.get(l.0).map_or(0, |t| t.last_score_milli)
-    }
-
-    /// Suspicion of the most recent observation on a GPU, in
-    /// milli-units.
-    pub fn gpu_score_milli(&self, g: usize) -> u64 {
-        self.gpus.get(g).map_or(0, |t| t.last_score_milli)
+    pub fn score_milli(&self, target: Target) -> u64 {
+        self.track(target).map_or(0, |t| t.last_score_milli)
     }
 
     /// Feeds one transfer observation ratio (observed wire time over
     /// model-expected wire time) for a link on the transfer's path.
     pub fn observe_link(&mut self, l: LinkId, ratio: f64) -> Option<Transition> {
-        let policy = self.policy.clone();
         let t = self.links.get_mut(l.0)?;
-        observe(t, &policy, ratio).then(|| {
+        observe(t, ratio).then(|| {
             t.set_inferred(ratio);
             quarantine(t);
             Transition::LinkQuarantined(l)
@@ -246,9 +265,8 @@ impl Detector {
     /// Feeds one execution observation ratio (observed exec-busy time
     /// over cost-model expectation) for a GPU.
     pub fn observe_gpu(&mut self, g: usize, ratio: f64) -> Option<Transition> {
-        let policy = self.policy.clone();
         let t = self.gpus.get_mut(g)?;
-        observe(t, &policy, ratio).then(|| {
+        observe(t, ratio).then(|| {
             t.set_inferred(ratio);
             quarantine(t);
             Transition::GpuQuarantined(g)
@@ -260,71 +278,69 @@ impl Detector {
     /// reinstatement; a dirty one sends the link straight back to
     /// quarantine.
     pub fn observe_canary(&mut self, l: LinkId, ratio: f64) -> Option<Transition> {
-        let policy = self.policy.clone();
         let t = self.links.get_mut(l.0)?;
         if t.state != DetectState::Probation {
             return None;
         }
         let score = t.base.suspicion(ratio);
         t.last_score_milli = (score * 1000.0) as u64;
-        if score >= policy.suspect_threshold / 2.0 {
+        if score >= SUSPECT_THRESHOLD / 2.0 {
             t.set_inferred(ratio);
             quarantine(t);
             return Some(Transition::LinkQuarantined(l));
         }
         t.clean += 1;
-        if t.clean >= policy.canaries {
+        if t.clean >= CANARIES {
             reinstate(t);
             return Some(Transition::LinkReinstated(l));
         }
         None
     }
 
-    /// Probation timer fired for a link: move it from quarantine to
-    /// probation (the host then sends canaries). `epoch` must match the
-    /// track's epoch at the time the timer was armed.
-    pub fn link_probation(&mut self, l: LinkId, epoch: u64) -> Option<Transition> {
-        let t = self.links.get_mut(l.0)?;
+    /// Probation timer fired for a quarantined target: a link moves to
+    /// probation (the host then sends canaries), a GPU is reinstated
+    /// optimistically. `epoch` must match the track's epoch at the time
+    /// the timer was armed.
+    pub fn probation(&mut self, target: Target, epoch: u64) -> Option<Transition> {
+        let t = self.track_mut(target)?;
         if t.epoch != epoch || t.state != DetectState::Quarantined {
             return None;
         }
-        t.state = DetectState::Probation;
-        t.clean = 0;
-        t.epoch += 1;
-        Some(Transition::LinkProbation(l))
-    }
-
-    /// Probation timer fired for a GPU: reinstate it optimistically.
-    pub fn gpu_probation(&mut self, g: usize, epoch: u64) -> Option<Transition> {
-        let t = self.gpus.get_mut(g)?;
-        if t.epoch != epoch || t.state != DetectState::Quarantined {
-            return None;
-        }
-        reinstate(t);
-        Some(Transition::GpuReinstated(g))
+        Some(match target {
+            Target::Link(l) => {
+                t.state = DetectState::Probation;
+                t.clean = 0;
+                t.epoch += 1;
+                Transition::LinkProbation(l)
+            }
+            Target::Gpu(g) => {
+                reinstate(t);
+                Transition::GpuReinstated(g)
+            }
+        })
     }
 }
 
 /// Shared healthy-path scoring: learns the baseline from non-suspicious
 /// ratios and returns whether this observation completes a quarantine
 /// (the caller fills in the target-specific transition).
-fn observe(t: &mut Track, policy: &DetectionPolicy, ratio: f64) -> bool {
+fn observe(t: &mut Track, ratio: f64) -> bool {
     if t.state != DetectState::Healthy || !ratio.is_finite() || ratio <= 0.0 {
         return false;
     }
-    let score = if t.base.n() >= policy.min_samples {
+    let score = if t.base.n() >= MIN_SAMPLES {
         t.base.suspicion(ratio)
     } else {
         0.0
     };
     t.last_score_milli = (score * 1000.0) as u64;
-    if score < policy.suspect_threshold {
+    if score < SUSPECT_THRESHOLD {
         t.strikes = 0;
         t.base.push(ratio);
         return false;
     }
     t.strikes += 1;
-    t.strikes >= policy.strikes
+    t.strikes >= STRIKES
 }
 
 fn quarantine(t: &mut Track) {
@@ -347,11 +363,7 @@ mod tests {
     use super::*;
 
     fn det() -> Detector {
-        let policy = DetectionPolicy {
-            enabled: true,
-            ..DetectionPolicy::default()
-        };
-        Detector::new(policy, 4, 2)
+        Detector::new(4, 2)
     }
 
     /// Feeds `n` healthy ratios alternating slightly around 1.0.
@@ -397,7 +409,6 @@ mod tests {
         // 1.0 / 2.5 = 0.4, on the sixteenth grid ≈ 0.4375.
         let f = d.link_factor(l);
         assert!((0.3..0.5).contains(&f), "inferred factor {f}");
-        assert!(d.any_suspected());
         // Further observations while quarantined are ignored.
         assert!(d.observe_link(l, 2.5).is_none());
     }
@@ -410,13 +421,13 @@ mod tests {
         d.observe_link(l, 3.0);
         d.observe_link(l, 3.0);
         assert_eq!(d.link_state(l), DetectState::Quarantined);
-        let epoch = d.link_epoch(l);
+        let epoch = d.epoch(Target::Link(l));
         assert_eq!(
-            d.link_probation(l, epoch),
+            d.probation(Target::Link(l), epoch),
             Some(Transition::LinkProbation(l))
         );
         // A stale timer (old epoch) is a no-op.
-        assert!(d.link_probation(l, epoch).is_none());
+        assert!(d.probation(Target::Link(l), epoch).is_none());
         assert!(d.observe_canary(l, 1.0).is_none());
         assert!(d.observe_canary(l, 1.0).is_none());
         assert_eq!(
@@ -425,7 +436,6 @@ mod tests {
         );
         assert_eq!(d.link_state(l), DetectState::Healthy);
         assert_eq!(d.link_factor(l), 1.0);
-        assert!(!d.any_suspected());
     }
 
     #[test]
@@ -435,8 +445,8 @@ mod tests {
         warmup(&mut d, l, 10);
         d.observe_link(l, 3.0);
         d.observe_link(l, 3.0);
-        let epoch = d.link_epoch(l);
-        d.link_probation(l, epoch);
+        let epoch = d.epoch(Target::Link(l));
+        d.probation(Target::Link(l), epoch);
         assert!(d.observe_canary(l, 1.0).is_none());
         assert_eq!(
             d.observe_canary(l, 3.0),
@@ -444,8 +454,8 @@ mod tests {
         );
         assert_eq!(d.link_state(l), DetectState::Quarantined);
         // The clean count reset: next probation starts from zero.
-        let epoch = d.link_epoch(l);
-        d.link_probation(l, epoch);
+        let epoch = d.epoch(Target::Link(l));
+        d.probation(Target::Link(l), epoch);
         assert!(d.observe_canary(l, 1.0).is_none());
     }
 
@@ -458,9 +468,9 @@ mod tests {
         assert!(d.observe_gpu(1, 2.0).is_none());
         assert_eq!(d.observe_gpu(1, 2.0), Some(Transition::GpuQuarantined(1)));
         assert_eq!(d.gpu_state(1), DetectState::Quarantined);
-        let epoch = d.gpu_epoch(1);
+        let epoch = d.epoch(Target::Gpu(1));
         assert_eq!(
-            d.gpu_probation(1, epoch),
+            d.probation(Target::Gpu(1), epoch),
             Some(Transition::GpuReinstated(1))
         );
         assert_eq!(d.gpu_state(1), DetectState::Healthy);

@@ -55,9 +55,11 @@ pub struct ServingReport {
     pub decode_completed: u64,
     /// Output tokens generated across all decode requests.
     pub tokens_generated: u64,
-    /// KV pages spilled to the pinned-host pool.
+    /// KV pages spilled to the pinned-host pool (the pager's lifetime
+    /// count, read when the run drains).
     pub kv_spills: u64,
-    /// Spilled KV pages recalled to device memory.
+    /// Spilled KV pages recalled to device memory (the pager's lifetime
+    /// count, read when the run drains).
     pub kv_recalls: u64,
     /// Host-resident KV page reads served in place via DHA.
     pub kv_dha_reads: u64,

@@ -23,20 +23,53 @@ use exec_planner::plan::ExecutionPlan;
 use gpu_topology::health::{GpuHealth, LinkHealth};
 use gpu_topology::select::pt_group;
 use simcore::driver::{set_link_capacity, start_flow, FlowDriver, HasFlowDriver};
-use simcore::fault::{FaultKind, FaultSpec};
+use simcore::fault::{FaultKind, FaultSpec, LinkRef};
 use simcore::flow::LinkId;
 use simcore::probe::{DetectState, Probe, ProbeEvent, ShedCause, SilentFaultKind};
 use simcore::sim::{Ctx, Sim};
 use simcore::time::{SimDur, SimTime};
 
 use crate::catalog::DeployedModel;
-use crate::config::{KvMode, ServerConfig};
-use crate::detect::{Detector, Transition};
+use crate::config::{DecodePolicy, KvMode, ServerConfig};
+use crate::detect::{Detector, Target, Transition};
 use crate::instance::{Instance, Residency};
 use crate::kvcache::{KvPager, PageHome, PageId};
 use crate::memory::{make_room_with, GpuCache};
 use crate::metrics::ServingReport;
 use crate::workload::Request;
+
+/// Width of the reporting time buckets (Figure 15 uses one minute).
+const BUCKET: SimDur = SimDur::from_secs(60);
+/// Retry budget after a run is lost to a GPU failure; exhausting it
+/// sheds the request.
+const MAX_RETRIES: u32 = 3;
+/// Base retry backoff; attempt `n` waits `n × RETRY_BACKOFF` before
+/// re-queueing on a healthy GPU.
+const RETRY_BACKOFF: SimDur = SimDur::from_millis(2);
+/// Recovery hysteresis window: a health transition arms a re-plan that
+/// only fires if no *further* transition lands within this window, so a
+/// flapping link produces one re-plan, not one per flap edge.
+const SETTLE: SimDur = SimDur::from_millis(100);
+/// Time a quarantined target waits before entering probation.
+const PROBATION: SimDur = SimDur::from_millis(200);
+/// Size of each canary transfer over a probing link.
+const CANARY_BYTES: u64 = 32 << 20;
+/// Maximum requests decoding together on one GPU (continuous batching
+/// admits joiners at token boundaries up to this width).
+const MAX_BATCH: usize = 8;
+/// Burst cap of the checkpoint bandwidth token bucket, in bytes.
+const CHECKPOINT_BURST: u64 = 8 << 20;
+/// Device-pool occupancy fraction at which swap-out triggers.
+const SWAP_OUT_ABOVE: f64 = 0.9;
+/// Occupancy fraction below which frozen sessions resume (kept well under
+/// [`SWAP_OUT_ABOVE`] for hysteresis, so the pool does not thrash
+/// sessions in and out).
+const RESUME_BELOW: f64 = 0.5;
+
+/// Backoff before retry attempt `attempt`.
+fn backoff(attempt: u32) -> SimDur {
+    SimDur::from_nanos(RETRY_BACKOFF.as_nanos() * u64::from(attempt))
+}
 
 #[derive(Clone, Copy)]
 struct Queued {
@@ -53,16 +86,24 @@ struct Queued {
     output_tokens: u32,
 }
 
+impl Queued {
+    /// Schedules this request's next attempt after its backoff.
+    fn retry_later(self, ctx: &mut Ctx<ServerState>) {
+        let q = Queued {
+            attempt: self.attempt + 1,
+            ..self
+        };
+        ctx.schedule_in(
+            backoff(q.attempt),
+            Box::new(move |s: &mut ServerState, ctx| requeue(s, ctx, q)),
+        );
+    }
+}
+
 /// The request currently executing on a GPU, kept so a GPU failure can
 /// abort the run and retry the request elsewhere.
 struct RunningReq {
-    req: u64,
-    instance: usize,
-    arrival: SimTime,
-    attempt: u32,
-    priority: u8,
-    prompt_tokens: u32,
-    output_tokens: u32,
+    q: Queued,
     run: RunRef,
 }
 
@@ -86,6 +127,21 @@ struct DecodeEntry {
     priority: u8,
     /// Whether the prefill ran cold (for completion accounting).
     cold: bool,
+}
+
+impl DecodeEntry {
+    /// The session as a fresh queue entry: a re-prefill from its prompt.
+    fn queued(&self) -> Queued {
+        Queued {
+            req: self.req,
+            instance: self.instance,
+            arrival: self.arrival,
+            attempt: self.attempt,
+            priority: self.priority,
+            prompt_tokens: self.prompt_tokens as u32,
+            output_tokens: self.tokens_target as u32,
+        }
+    }
 }
 
 /// Host-side checkpoint record of one decode session: the token step the
@@ -116,6 +172,167 @@ struct DecodeBatch {
     run: Option<DecodeRef>,
 }
 
+/// Decode state: per-GPU continuous batches, the paged KV allocator and
+/// the session-resilience bookkeeping. [`ServerState`] holds one only
+/// when decode is enabled; its resilience fields stay empty unless
+/// resilience is on too.
+struct DecodePlane {
+    /// Per-GPU continuous batches.
+    batches: Vec<DecodeBatch>,
+    /// Paged KV allocator.
+    pager: KvPager,
+    /// Per-session checkpoint records, by request id.
+    ckpts: BTreeMap<u64, CkptState>,
+    /// Whether a checkpoint mirror flow is in flight, per GPU (at most
+    /// one, so mirrors never pile onto a struggling wire).
+    ckpt_inflight: Vec<bool>,
+    /// Per-GPU checkpoint epoch; a crash bumps it so an in-flight
+    /// mirror's completion commits nothing.
+    ckpt_epoch: Vec<u64>,
+    /// Checkpoint bandwidth token bucket: bytes currently available.
+    ckpt_tokens: f64,
+    /// Last lazy refill of the checkpoint token bucket.
+    ckpt_refilled: SimTime,
+    /// Sessions frozen by preemptive swap-out, in FIFO resume order.
+    swapped: VecDeque<DecodeEntry>,
+    /// Crash time per victim session, for TTFT-to-recovery samples.
+    crashed_at: BTreeMap<u64, SimTime>,
+}
+
+impl DecodePlane {
+    fn new(pol: &DecodePolicy, n_gpus: usize) -> Self {
+        DecodePlane {
+            batches: (0..n_gpus).map(|_| DecodeBatch::default()).collect(),
+            pager: KvPager::new(
+                pol.page_bytes,
+                n_gpus,
+                pol.gpu_pool_bytes,
+                pol.host_pool_bytes,
+            ),
+            ckpts: BTreeMap::new(),
+            ckpt_inflight: vec![false; n_gpus],
+            ckpt_epoch: vec![0; n_gpus],
+            ckpt_tokens: 0.0,
+            ckpt_refilled: SimTime::ZERO,
+            swapped: VecDeque::new(),
+            crashed_at: BTreeMap::new(),
+        }
+    }
+
+    /// Whether any session is decoding or frozen.
+    fn active(&self) -> bool {
+        self.batches.iter().any(|b| !b.entries.is_empty()) || !self.swapped.is_empty()
+    }
+
+    /// Drops a session's recovery bookkeeping (it finished or was shed,
+    /// so it will never resume or restore).
+    fn forget(&mut self, req: u64) {
+        self.ckpts.remove(&req);
+        self.crashed_at.remove(&req);
+    }
+
+    /// Fraction of GPU `g`'s device KV pool in use.
+    fn occupancy(&self, g: usize) -> f64 {
+        let cap = self.pager.gpu_cap_pages(g);
+        if cap == 0 {
+            return 0.0;
+        }
+        self.pager.gpu_used_pages(g) as f64 / cap as f64
+    }
+
+    /// Preemptive session swap at the token boundary of GPU `g`
+    /// (resilience only). Swap-out freezes the batch's lowest-priority
+    /// session when the device pool is nearly full — or when a
+    /// higher-priority prefill (queue head priority `head`) is stuck
+    /// behind a full batch (priority inversion) — batch-spilling its
+    /// device pages to the pinned-host pool and parking the entry
+    /// off-batch with its exact token step. Resume is the reverse, FIFO,
+    /// once pressure clears (hysteresis: [`RESUME_BELOW`] <
+    /// [`SWAP_OUT_ABOVE`]) or the batch goes idle; the session's pages
+    /// flow back through the ordinary recall/DHA placement of its next
+    /// step.
+    fn maybe_swap(
+        &mut self,
+        now: SimTime,
+        g: usize,
+        head: Option<u8>,
+        report: &mut ServingReport,
+        probe: &Probe,
+    ) {
+        let len = self.batches[g].entries.len();
+        let inversion = len >= MAX_BATCH
+            && head.is_some_and(|p| self.batches[g].entries.iter().any(|e| e.priority < p));
+        if (self.occupancy(g) >= SWAP_OUT_ABOVE || inversion) && len > 1 {
+            // Victim: lowest priority; ties break to the youngest session
+            // (largest request id) — it has the least KV to move.
+            let batch = &mut self.batches[g].entries;
+            let vi = batch
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| (e.priority, u64::MAX - e.req))
+                .map(|(i, _)| i)
+                .expect("batch non-empty");
+            let e = batch.remove(vi);
+            let pager = &self.pager;
+            let device_pages: Vec<PageId> = pager
+                .pages_of(e.req)
+                .iter()
+                .copied()
+                .filter(|&p| matches!(pager.page(p), Some(pg) if pg.home == PageHome::Gpu(g)))
+                .collect();
+            let spilled = spill_pages(&mut self.pager, probe, now, g, device_pages);
+            report.sessions_swapped += 1;
+            probe.emit(
+                now,
+                ProbeEvent::SessionSwappedOut {
+                    req: e.req,
+                    gpu: g,
+                    tokens: e.tokens_done,
+                    pages: spilled,
+                },
+            );
+            self.swapped.push_back(e);
+            return;
+        }
+        if len < MAX_BATCH && (self.occupancy(g) < RESUME_BELOW || len == 0) {
+            let Some(e) = self.swapped.pop_front() else {
+                return;
+            };
+            report.sessions_resumed += 1;
+            probe.emit(
+                now,
+                ProbeEvent::SessionResumed {
+                    req: e.req,
+                    gpu: g,
+                    tokens: e.tokens_done,
+                    pages: self.pager.host_pages_of(e.req),
+                },
+            );
+            self.batches[g].entries.push(e);
+        }
+    }
+}
+
+/// Spills `pages` of GPU `g` to the pinned-host pool, probing each page
+/// that moves; returns how many moved.
+fn spill_pages(
+    pager: &mut KvPager,
+    probe: &Probe,
+    now: SimTime,
+    g: usize,
+    pages: Vec<PageId>,
+) -> u64 {
+    let mut spilled = 0;
+    for page in pages {
+        let req = pager.page(page).expect("spilled page is live").owner;
+        if pager.spill(page) {
+            spilled += 1;
+            probe.emit(now, ProbeEvent::KvPageSpill { req, gpu: g, page });
+        }
+    }
+    spilled
+}
+
 /// The simulation world of one serving experiment.
 pub struct ServerState {
     hw: HwState<ServerState>,
@@ -132,11 +349,8 @@ pub struct ServerState {
     measure_from: SimTime,
     probe: Probe,
     next_req: u64,
-    // --- decode state (inert unless cfg.decode.enabled) ---
-    /// Per-GPU continuous batches.
-    batches: Vec<DecodeBatch>,
-    /// Paged KV allocator; `Some` iff decode is enabled.
-    pager: Option<KvPager>,
+    /// Decode state; `Some` iff decode is enabled.
+    decode: Option<DecodePlane>,
     // --- fault state (inert on healthy runs) ---
     gpu_up: GpuHealth,
     link_health: LinkHealth,
@@ -166,23 +380,6 @@ pub struct ServerState {
     /// loaded under the old plan keep their old footprint until evicted
     /// or migrated.
     inst_resident: Vec<u64>,
-    // --- resilience state (inert unless cfg.decode_resilience.enabled) ---
-    /// Per-session checkpoint records, by request id.
-    ckpts: BTreeMap<u64, CkptState>,
-    /// Whether a checkpoint mirror flow is in flight, per GPU (at most
-    /// one, so mirrors never pile onto a struggling wire).
-    ckpt_inflight: Vec<bool>,
-    /// Per-GPU checkpoint epoch; a crash bumps it so an in-flight
-    /// mirror's completion commits nothing.
-    ckpt_epoch: Vec<u64>,
-    /// Checkpoint bandwidth token bucket: bytes currently available.
-    ckpt_tokens: f64,
-    /// Last lazy refill of the checkpoint token bucket.
-    ckpt_refilled: SimTime,
-    /// Sessions frozen by preemptive swap-out, in FIFO resume order.
-    swapped: VecDeque<DecodeEntry>,
-    /// Crash time per victim session, for TTFT-to-recovery samples.
-    crashed_at: BTreeMap<u64, SimTime>,
     // --- detection state (inert unless cfg.detection.enabled) ---
     /// Observation-driven health inference; `Some` iff detection is on.
     detector: Option<Detector>,
@@ -227,7 +424,7 @@ impl ServerState {
             .collect();
         let pinned_total = inst_pinned.iter().sum();
         let n_inst = instance_kinds.len();
-        let report = ServingReport::new(cfg.slo, cfg.bucket);
+        let report = ServingReport::new(cfg.slo, BUCKET);
         let link_health = LinkHealth::snapshot(&flows.net);
         let active_plans: Vec<Arc<ExecutionPlan>> = kinds.iter().map(|k| k.plan.clone()).collect();
         let inst_resident: Vec<u64> = instance_kinds.iter().map(|&k| sizes[k]).collect();
@@ -235,15 +432,11 @@ impl ServerState {
         let detector = cfg
             .detection
             .enabled
-            .then(|| Detector::new(cfg.detection.clone(), n_links, n_gpus));
-        let pager = cfg.decode.enabled.then(|| {
-            KvPager::new(
-                cfg.decode.page_bytes,
-                n_gpus,
-                cfg.decode.gpu_pool_bytes,
-                cfg.decode.host_pool_bytes,
-            )
-        });
+            .then(|| Detector::new(n_links, n_gpus));
+        let decode = cfg
+            .decode
+            .enabled
+            .then(|| DecodePlane::new(&cfg.decode, n_gpus));
         ServerState {
             hw,
             flows,
@@ -259,8 +452,7 @@ impl ServerState {
             measure_from,
             probe: Probe::disabled(),
             next_req: 0,
-            batches: (0..n_gpus).map(|_| DecodeBatch::default()).collect(),
-            pager,
+            decode,
             gpu_up: GpuHealth::all_up(n_gpus),
             link_health,
             running: (0..n_gpus).map(|_| None).collect(),
@@ -273,13 +465,6 @@ impl ServerState {
             active_plans,
             plan_signature: None,
             inst_resident,
-            ckpts: BTreeMap::new(),
-            ckpt_inflight: vec![false; n_gpus],
-            ckpt_epoch: vec![0; n_gpus],
-            ckpt_tokens: 0.0,
-            ckpt_refilled: SimTime::ZERO,
-            swapped: VecDeque::new(),
-            crashed_at: BTreeMap::new(),
             detector,
             silent_link_factor: vec![1.0; n_links],
             silent_gpu_factor: vec![1.0; n_gpus],
@@ -302,6 +487,11 @@ impl ServerState {
                 depth: self.queues[g].len(),
             },
         );
+    }
+
+    fn emit_silent(&self, at: SimTime, kind: SilentFaultKind, target: usize) {
+        self.probe
+            .emit(at, ProbeEvent::SilentFaultInjected { kind, target });
     }
 
     fn emit_cache(&self, at: SimTime, g: usize) {
@@ -353,34 +543,40 @@ impl ServerState {
                 .is_none_or(|d| d.gpu_state(g) != DetectState::Quarantined)
     }
 
-    /// Whether GPU `g`'s host path is believed degraded — by an
-    /// announced `link-degrade` *or* by detector inference. Cold
-    /// placement demotes such GPUs: a cold start routed onto a slow
-    /// wire pays the slowdown on every weight byte, so steering new
-    /// instances to clean paths is the serving layer's main lever
-    /// against a sick link (re-planning only rebalances Load vs DHA).
-    /// Oracle and detector pull the same lever, which is what makes
-    /// their fault-window tails comparable.
-    fn path_impaired(&self, g: usize) -> bool {
+    /// Believed capacity factor of GPU `g`'s host path: the slower of
+    /// its switch uplink and its own PCIe lane, each at the lower of its
+    /// announced and its inferred health. Oracle and detector feed the
+    /// same number, so the re-planner cannot tell them apart.
+    fn path_factor(&self, g: usize) -> f64 {
         let uplink = self.hw.map.switch_uplink[self.cfg.machine.switch_of(g)];
         let pcie = self.hw.map.gpu_pcie[g];
-        if self.link_health.factor(uplink) < 1.0 || self.link_health.factor(pcie) < 1.0 {
-            return true;
+        let announced = self
+            .link_health
+            .factor(uplink)
+            .min(self.link_health.factor(pcie));
+        match &self.detector {
+            Some(d) => announced
+                .min(d.link_factor(uplink))
+                .min(d.link_factor(pcie)),
+            None => announced,
         }
-        self.detector
-            .as_ref()
-            .is_some_and(|d| d.link_factor(uplink) < 1.0 || d.link_factor(pcie) < 1.0)
     }
 
     /// GPU choice for a non-resident instance: clean host path first,
     /// then shortest queue, then most free cache, then lowest index —
     /// healthy GPUs only. `None` when every GPU is down.
+    ///
+    /// A host path believed degraded (announced *or* inferred) demotes
+    /// its GPU: a cold start routed onto a slow wire pays the slowdown on
+    /// every weight byte, so steering new instances to clean paths is the
+    /// serving layer's main lever against a sick link (re-planning only
+    /// rebalances Load vs DHA).
     fn pick_gpu(&self) -> Option<usize> {
         (0..self.queues.len())
             .filter(|&g| self.gpu_ok(g))
             .min_by_key(|&g| {
                 (
-                    self.path_impaired(g),
+                    self.path_factor(g) < 1.0,
                     self.queues[g].len() + usize::from(self.busy[g]),
                     u64::MAX - self.caches[g].free(),
                     g,
@@ -388,13 +584,36 @@ impl ServerState {
             })
     }
 
-    /// Whether the cluster is running below healthy capacity (a GPU down
-    /// or any link degraded, per announcement *or* inference) — the
-    /// trigger for priority shedding.
-    fn degraded(&self) -> bool {
-        self.gpu_up.up_count() < self.gpu_up.len()
-            || self.link_health.any_degraded()
-            || self.detector.as_ref().is_some_and(|d| d.any_suspected())
+    /// The GPU a request for `instance` goes to: the instance's own GPU
+    /// while it is up, else [`Self::pick_gpu`].
+    fn home_gpu(&self, instance: usize) -> Option<usize> {
+        match self.instances[instance].gpu() {
+            Some(g) if self.gpu_up.is_up(g) => Some(g),
+            _ => self.pick_gpu(),
+        }
+    }
+
+    /// Claims cache room on GPU `g` for non-resident instance `inst`,
+    /// LRU-evicting idle residents, and marks it loading there. Returns
+    /// the bytes claimed, or `None` when the cache is full of busy
+    /// instances.
+    fn claim_cache(&mut self, now: SimTime, g: usize, inst: usize) -> Option<u64> {
+        let bytes = self.sizes[self.instances[inst].kind];
+        let victims = make_room_with(
+            &mut self.caches[g],
+            g,
+            &mut self.instances,
+            &self.inst_resident,
+            bytes,
+            self.cfg.eviction,
+            now.as_nanos(),
+        )?;
+        self.report.evictions += victims.len() as u64;
+        self.caches[g].used += bytes;
+        self.inst_resident[inst] = bytes;
+        self.instances[inst].residency = Residency::Loading(g);
+        self.emit_cache(now, g);
+        Some(bytes)
     }
 
     /// Believed solo transfer rate of GPU `g`'s host path: healthy
@@ -420,17 +639,13 @@ impl ServerState {
         !self.pending.is_empty()
             || self.busy.iter().any(|&b| b)
             || self.queues.iter().any(|q| !q.is_empty())
-            || self.batches.iter().any(|b| !b.entries.is_empty())
-            || !self.swapped.is_empty()
+            || self.decode.as_ref().is_some_and(DecodePlane::active)
     }
 
     /// Sheds a request: counted, never served.
     fn shed(&mut self, at: SimTime, req: u64, instance: usize, cause: ShedCause) {
-        if self.cfg.decode_resilience.enabled {
-            // A shed session will never resume or restore; drop its
-            // recovery bookkeeping so the maps stay bounded.
-            self.ckpts.remove(&req);
-            self.crashed_at.remove(&req);
+        if let Some(d) = &mut self.decode {
+            d.forget(req);
         }
         self.report.shed += 1;
         self.probe.emit(
@@ -459,8 +674,7 @@ fn schedule_next_arrival(s: &mut ServerState, ctx: &mut Ctx<ServerState>) {
 }
 
 /// Routes one request to a GPU queue, or sheds it when the cluster
-/// cannot take it (no healthy GPU, its host copy reclaimed, or priority
-/// below the degradation floor).
+/// cannot take it (no healthy GPU, or its host copy reclaimed).
 fn route(s: &mut ServerState, ctx: &mut Ctx<ServerState>, req: Request) {
     let req_id = s.next_req;
     s.next_req += 1;
@@ -468,19 +682,9 @@ fn route(s: &mut ServerState, ctx: &mut Ctx<ServerState>, req: Request) {
         s.shed(ctx.now(), req_id, req.instance, ShedCause::Pressure);
         return;
     }
-    if req.priority < s.cfg.faults.shed_priority_floor && s.degraded() {
-        s.shed(ctx.now(), req_id, req.instance, ShedCause::Priority);
+    let Some(g) = s.home_gpu(req.instance) else {
+        s.shed(ctx.now(), req_id, req.instance, ShedCause::NoCapacity);
         return;
-    }
-    let g = match s.instances[req.instance].gpu() {
-        Some(g) if s.gpu_up.is_up(g) => g,
-        _ => match s.pick_gpu() {
-            Some(g) => g,
-            None => {
-                s.shed(ctx.now(), req_id, req.instance, ShedCause::NoCapacity);
-                return;
-            }
-        },
     };
     if !admit(s, ctx, req_id, &req, g) {
         return;
@@ -538,33 +742,31 @@ fn admit(
             }
         }
     }
-    if let Some(factor) = s.cfg.admission.slo_reject_factor {
-        // Optimistic wait estimate: everything ahead runs warm. If even
-        // that already blows `factor × SLO`, serving this request late
-        // only wastes capacity — reject it now.
+    // SLO-aware early rejection against `factor × SLO` and, with
+    // resilience on, the request's tier TTFT budget: if even the
+    // optimistic wait estimate (everything ahead runs warm) already
+    // blows the tighter budget, serving this request late only wastes
+    // capacity — reject it now.
+    let res = &s.cfg.decode_resilience;
+    let budget = [
+        s.cfg
+            .admission
+            .slo_reject_factor
+            .map(|factor| factor * s.cfg.slo.as_nanos() as f64),
+        res.enabled
+            .then(|| res.tier_for(req.priority))
+            .flatten()
+            .map(|tier| tier.ttft_slo.as_nanos() as f64),
+    ]
+    .into_iter()
+    .flatten()
+    .reduce(f64::min);
+    if let Some(budget) = budget {
         let kind = s.instances[req.instance].kind;
         let per_req = s.kinds[kind].profile.exec_inmem_total().as_nanos() as f64;
-        let est_wait = per_req * depth as f64;
-        if est_wait > factor * s.cfg.slo.as_nanos() as f64 {
+        if per_req * depth as f64 > budget {
             s.shed(ctx.now(), req_id, req.instance, ShedCause::SloReject);
             return false;
-        }
-    }
-    if s.cfg.decode_resilience.enabled {
-        // Tiered TTFT admission: a tenant class whose first token cannot
-        // plausibly land inside its tier's TTFT budget is rejected at
-        // the edge rather than served hopelessly late. The same
-        // optimistic everything-ahead-runs-warm wait estimate as
-        // `slo_reject_factor`, judged against the per-tier budget.
-        let tier = s.cfg.decode_resilience.tier_for(req.priority).copied();
-        if let Some(tier) = tier {
-            let kind = s.instances[req.instance].kind;
-            let per_req = s.kinds[kind].profile.exec_inmem_total().as_nanos() as f64;
-            let est_wait = per_req * depth as f64;
-            if est_wait > tier.ttft_slo.as_nanos() as f64 {
-                s.shed(ctx.now(), req_id, req.instance, ShedCause::SloReject);
-                return false;
-            }
         }
     }
     true
@@ -572,11 +774,9 @@ fn admit(
 
 /// Dispatches the head of GPU `g`'s queue if the GPU is idle and up.
 fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
-    if s.busy[g] || !s.gpu_up.is_up(g) {
-        return;
-    }
-    if s.cfg.decode.enabled && s.batches[g].stepping {
-        // A token step owns the GPU; prefills resume at the boundary.
+    // A token step owns the GPU; prefills resume at the boundary.
+    let stepping = s.decode.as_ref().is_some_and(|d| d.batches[g].stepping);
+    if s.busy[g] || stepping || !s.gpu_up.is_up(g) {
         return;
     }
     let q = loop {
@@ -611,36 +811,13 @@ fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
 
     let kind = s.instances[inst_id].kind;
     let warm = s.instances[inst_id].residency == Residency::Resident(g);
-    if !warm && s.instances[inst_id].residency == Residency::NotResident {
-        // Allocate cache space, LRU-evicting idle residents.
-        let bytes = s.sizes[kind];
-        let evicted = {
-            let (caches, instances) = (&mut s.caches, &mut s.instances);
-            make_room_with(
-                &mut caches[g],
-                g,
-                instances,
-                &s.inst_resident,
-                bytes,
-                s.cfg.eviction,
-                ctx.now().as_nanos(),
-            )
-        };
-        match evicted {
-            Some(victims) => {
-                s.report.evictions += victims.len() as u64;
-                s.caches[g].used += bytes;
-                s.inst_resident[inst_id] = bytes;
-                s.instances[inst_id].residency = Residency::Loading(g);
-                s.emit_cache(ctx.now(), g);
-            }
-            None => {
-                // Cache full of busy instances; retry after the current
-                // runs drain (a completion always re-dispatches).
-                s.queues[g].push_front(q);
-                return;
-            }
-        }
+    if s.instances[inst_id].residency == Residency::NotResident
+        && s.claim_cache(ctx.now(), g, inst_id).is_none()
+    {
+        // Cache full of busy instances; retry after the current runs
+        // drain (a completion always re-dispatches).
+        s.queues[g].push_front(q);
+        return;
     }
 
     s.busy[g] = true;
@@ -674,29 +851,20 @@ fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     // silent GPU fault multiplies on top without being announced, and
     // the gap is what the detector scores.
     let disp_slowdown = s.slowdown;
-    let silent = s.silent_gpu_factor[g];
-    let exec_scale = if silent == 1.0 {
-        s.slowdown
-    } else {
-        s.slowdown * silent
-    };
-    let verify_loads = s.detector.as_ref().is_some_and(|d| d.policy().checksum);
-    // With detection on, every host→GPU weight transfer of the run —
-    // cold load blocks and DHA reads alike (warm runs still issue DHA
-    // reads) — is eligible to hedge: the watchdog only fires when a
-    // transfer overruns several times its contention-aware expectation,
-    // so healthy transfers never duplicate, while a stuck or
-    // silently-slow path gets raced.
-    let hedge = s
-        .detector
-        .as_ref()
-        .filter(|d| d.policy().hedge)
-        .map(|_| HedgeSpec {
-            rate_bps: s.believed_path_rate(g),
-            factor: 4.0,
-            floor: SimDur::from_millis(10),
-        });
-    let spec = LaunchSpec {
+    let exec_scale = s.slowdown * s.silent_gpu_factor[g];
+    // With detection on, every arriving weight block is checksum-verified
+    // and every host→GPU weight transfer of the run — cold load blocks
+    // and DHA reads alike (warm runs still issue DHA reads) — is eligible
+    // to hedge: the watchdog only fires when a transfer overruns several
+    // times its contention-aware expectation, so healthy transfers never
+    // duplicate, while a stuck or silently-slow path gets raced.
+    let verify_loads = s.detector.is_some();
+    let hedge = (verify_loads && s.cfg.detection.hedge).then(|| HedgeSpec {
+        rate_bps: s.believed_path_rate(g),
+        factor: 4.0,
+        floor: SimDur::from_millis(10),
+    });
+    let spec = |secondaries| LaunchSpec {
         rt: rt.clone(),
         plan: plan.clone(),
         primary: g,
@@ -709,16 +877,11 @@ fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
         verify_loads,
         hedge,
     };
-    let arrival = q.arrival;
-    let req_id = q.req;
-    let attempt = q.attempt;
-    let priority = q.priority;
-    let prompt_tokens = q.prompt_tokens;
-    let output_tokens = q.output_tokens;
+    let (req_id, arrival) = (q.req, q.arrival);
     // Autoregressive request: after the prefill, join the GPU's
     // continuous batch instead of completing. Requires the kind to be a
     // decoder (non-decoder kinds never stream, whatever the trace says).
-    let decode = s.cfg.decode.enabled && output_tokens > 1 && s.kinds[kind].decode.is_some();
+    let decode = s.decode.is_some() && q.output_tokens > 1 && s.kinds[kind].decode.is_some();
     let dispatched = ctx.now();
     // Published before the launch so the span's dispatch precedes the
     // engine events it causes; the run slot is the one the next insert
@@ -759,10 +922,10 @@ fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
                         dispatched,
                         prefill_done: res.finished,
                         tokens_done: 1,
-                        tokens_target: u64::from(output_tokens),
-                        prompt_tokens: u64::from(prompt_tokens),
-                        attempt,
-                        priority,
+                        tokens_target: u64::from(q.output_tokens),
+                        prompt_tokens: u64::from(q.prompt_tokens),
+                        attempt: q.attempt,
+                        priority: q.priority,
                         cold: !warm,
                     },
                 );
@@ -783,40 +946,14 @@ fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             on_complete(s, ctx, g, inst_id, warm, arrival, res.finished);
         })
     };
-    let run = match start_inference(s, ctx, spec, make_done()) {
-        Ok(run) => run,
-        Err(_) => {
-            // A stale plan can demand NVLink a freshly degraded topology
-            // no longer has. A failed launch touches no state, so fall
-            // back to a primary-only launch — always valid, the surplus
-            // partitions fold onto the primary's own PCIe lane.
-            let fallback = LaunchSpec {
-                rt,
-                plan,
-                primary: g,
-                secondaries: Vec::new(),
-                warm,
-                skip_exec: false,
-                bulk_migrate: false,
-                distributed: false,
-                exec_scale,
-                verify_loads,
-                hedge,
-            };
-            start_inference(s, ctx, fallback, make_done())
-                .expect("primary-only launch cannot require NVLink")
-        }
-    };
-    s.running[g] = Some(RunningReq {
-        req: req_id,
-        instance: inst_id,
-        arrival,
-        attempt,
-        priority,
-        prompt_tokens,
-        output_tokens,
-        run,
-    });
+    // A stale plan can demand NVLink a freshly degraded topology no
+    // longer has. A failed launch touches no state, so fall back to a
+    // primary-only launch — always valid, the surplus partitions fold
+    // onto the primary's own PCIe lane.
+    let run = start_inference(s, ctx, spec(secondaries), make_done())
+        .or_else(|_| start_inference(s, ctx, spec(Vec::new()), make_done()))
+        .expect("primary-only launch cannot require NVLink");
+    s.running[g] = Some(RunningReq { q, run });
 }
 
 /// An inference finished on GPU `g`.
@@ -856,18 +993,19 @@ fn join_batch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize, e: Deco
     if e.arrival >= s.measure_from {
         s.report.ttft.push((e.prefill_done - e.arrival).as_ms_f64());
     }
-    if s.cfg.decode_resilience.enabled {
-        // A crash victim re-entering through a fresh prefill just
-        // recomputed its KV from scratch; its recovery latency is the
-        // crash-to-first-new-token span.
-        if let Some(t0) = s.crashed_at.remove(&e.req) {
-            s.report.sessions_reprefilled += 1;
-            s.report
-                .recovery_reprefill_ttft
-                .push((e.prefill_done - t0).as_ms_f64());
-        }
+    let Some(d) = s.decode.as_mut() else {
+        return;
+    };
+    // A crash victim re-entering through a fresh prefill just recomputed
+    // its KV from scratch; its recovery latency is the
+    // crash-to-first-new-token span.
+    if let Some(t0) = d.crashed_at.remove(&e.req) {
+        s.report.sessions_reprefilled += 1;
+        s.report
+            .recovery_reprefill_ttft
+            .push((e.prefill_done - t0).as_ms_f64());
     }
-    s.batches[g].entries.push(e);
+    d.batches[g].entries.push(e);
     decode_pump(s, ctx, g);
 }
 
@@ -876,134 +1014,28 @@ fn join_batch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize, e: Deco
 /// never mid-step), then run the next token step. No-op while a prefill
 /// or step is in flight; their completions re-enter the pump.
 fn decode_pump(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
-    if !s.cfg.decode.enabled {
+    let Some(d) = s.decode.as_mut() else {
         return;
-    }
-    if s.busy[g] || s.batches[g].stepping || !s.gpu_up.is_up(g) {
+    };
+    if s.busy[g] || d.batches[g].stepping || !s.gpu_up.is_up(g) {
         return;
     }
     if s.cfg.decode_resilience.enabled {
-        maybe_swap(s, ctx, g);
+        let head = s.queues[g].front().map(|q| q.priority);
+        d.maybe_swap(ctx.now(), g, head, &mut s.report, &s.probe);
     }
-    if !s.queues[g].is_empty() && s.batches[g].entries.len() < s.cfg.decode.max_batch {
+    if !s.queues[g].is_empty() && d.batches[g].entries.len() < MAX_BATCH {
         try_dispatch(s, ctx, g);
         if s.busy[g] {
             return; // Prefill in flight; it joins at the next boundary.
         }
     }
-    if s.batches[g].entries.is_empty() {
-        return;
-    }
-    start_step(s, ctx, g);
-}
-
-/// Preemptive session swap at the token boundary of GPU `g` (resilience
-/// only). Swap-out freezes the batch's lowest-priority session when the
-/// device pool is nearly full — or when a higher-priority prefill is
-/// stuck behind a full batch (priority inversion) — batch-spilling its
-/// device pages to the pinned-host pool and parking the entry off-batch
-/// with its exact token step. Resume is the reverse, FIFO, once pressure
-/// clears (hysteresis: `resume_below < swap_out_above`) or the batch
-/// goes idle; the session's pages flow back through the ordinary
-/// recall/DHA placement of its next step.
-fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
-    if !s.cfg.decode_resilience.swap {
-        return;
-    }
-    let now = ctx.now();
-    let occupancy = |s: &ServerState| -> f64 {
-        let pager = s.pager.as_ref().expect("decode enabled implies pager");
-        let cap = pager.gpu_cap_pages(g);
-        if cap == 0 {
-            return 0.0;
-        }
-        pager.gpu_used_pages(g) as f64 / cap as f64
-    };
-    if s.pager.is_none() {
-        return;
-    }
-    let mut swapped_now = false;
-    let inversion = s.batches[g].entries.len() >= s.cfg.decode.max_batch
-        && s.queues[g]
-            .front()
-            .is_some_and(|q| s.batches[g].entries.iter().any(|e| e.priority < q.priority));
-    if (occupancy(s) >= s.cfg.decode_resilience.swap_out_above || inversion)
-        && s.batches[g].entries.len() > 1
+    if s.decode
+        .as_ref()
+        .is_some_and(|d| !d.batches[g].entries.is_empty())
     {
-        // Victim: lowest priority; ties break to the youngest session
-        // (largest request id) — it has the least KV to move.
-        let vi = s.batches[g]
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| (e.priority, u64::MAX - e.req))
-            .map(|(i, _)| i)
-            .expect("batch non-empty");
-        let e = s.batches[g].entries.remove(vi);
-        let device_pages: Vec<PageId> = {
-            let pager = s.pager.as_ref().expect("decode enabled implies pager");
-            pager
-                .pages_of(e.req)
-                .iter()
-                .copied()
-                .filter(|&p| matches!(pager.page(p), Some(pg) if pg.home == PageHome::Gpu(g)))
-                .collect()
-        };
-        let spilled = spill_pages(s, now, g, device_pages);
-        s.report.sessions_swapped += 1;
-        s.probe.emit(
-            now,
-            ProbeEvent::SessionSwappedOut {
-                req: e.req,
-                gpu: g,
-                tokens: e.tokens_done,
-                pages: spilled,
-            },
-        );
-        s.swapped.push_back(e);
-        swapped_now = true;
+        start_step(s, ctx, g);
     }
-    if swapped_now || s.swapped.is_empty() {
-        return;
-    }
-    let room = s.batches[g].entries.len() < s.cfg.decode.max_batch;
-    if room
-        && (occupancy(s) < s.cfg.decode_resilience.resume_below || s.batches[g].entries.is_empty())
-    {
-        let e = s.swapped.pop_front().expect("checked non-empty");
-        let host_pages = {
-            let pager = s.pager.as_ref().expect("decode enabled implies pager");
-            pager.host_pages_of(e.req)
-        };
-        s.report.sessions_resumed += 1;
-        s.probe.emit(
-            now,
-            ProbeEvent::SessionResumed {
-                req: e.req,
-                gpu: g,
-                tokens: e.tokens_done,
-                pages: host_pages,
-            },
-        );
-        s.batches[g].entries.push(e);
-    }
-}
-
-/// Spills `pages` of GPU `g` to the pinned-host pool, counting and
-/// probing each page that moves; returns how many moved.
-fn spill_pages(s: &mut ServerState, now: SimTime, g: usize, pages: Vec<PageId>) -> u64 {
-    let mut spilled = 0;
-    for page in pages {
-        let pager = s.pager.as_mut().expect("decode enabled implies pager");
-        let req = pager.page(page).expect("spilled page is live").owner;
-        if pager.spill(page) {
-            spilled += 1;
-            s.report.kv_spills += 1;
-            s.probe
-                .emit(now, ProbeEvent::KvPageSpill { req, gpu: g, page });
-        }
-    }
-    spilled
 }
 
 /// Launches one token step on GPU `g`: grows each entry's paged KV by
@@ -1013,12 +1045,23 @@ fn spill_pages(s: &mut ServerState, now: SimTime, g: usize, pages: Vec<PageId>) 
 /// and prices the step with the decode roofline.
 fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     let now = ctx.now();
-    let step_id = s.batches[g].step_id + 1;
-    s.batches[g].step_id = step_id;
-    s.batches[g].stepping = true;
+    let Some(run) = s.decode.as_ref().map(|d| d.batches[g].run) else {
+        return;
+    };
+    // The batch's engine decode process begins with its first step.
+    let run = run.unwrap_or_else(|| begin_decode(s, g));
+    let Some(d) = s.decode.as_mut() else {
+        return;
+    };
+    let batch = &mut d.batches[g];
+    batch.run = Some(run);
+    batch.step_id += 1;
+    batch.stepping = true;
+    let step_id = batch.step_id;
+    let entries: Vec<DecodeEntry> = batch.entries.clone();
+    let pager = &mut d.pager;
     let page_bytes = s.cfg.decode.page_bytes;
     let kv_mode = s.cfg.decode.kv_mode;
-    let entries: Vec<DecodeEntry> = s.batches[g].entries.clone();
     // Phase 1: grow KV footprints. The pager never victimises a page
     // touched this step; a full host pool surfaces as an allocation
     // failure (the step proceeds and only under-counts its bytes).
@@ -1028,15 +1071,13 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             .decode
             .expect("batch entries are decoder kinds");
         let needed = prof.kv_bytes(e.prompt_tokens + e.tokens_done);
-        let pager = s.pager.as_ref().expect("decode enabled implies pager");
         let want = pager
             .pages_for(needed)
             .saturating_sub(pager.pages_of(e.req).len() as u64);
         let deficit = want.saturating_sub(pager.gpu_free_pages(g));
         let victims = pager.spill_victims(g, step_id, usize::try_from(deficit).unwrap_or(0));
-        spill_pages(s, now, g, victims);
+        spill_pages(pager, &s.probe, now, g, victims);
         for _ in 0..want {
-            let pager = s.pager.as_mut().expect("decode enabled implies pager");
             let Some(p) = pager.try_alloc(e.req, g, step_id) else {
                 // Pool full and every resident page pinned (or the host
                 // pool is full): the step proceeds under-counting bytes.
@@ -1054,7 +1095,6 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
         }
         // The step appends to the tail page: mark it hot so the spill
         // policy cannot victimise it mid-step.
-        let pager = s.pager.as_mut().expect("decode enabled implies pager");
         if let Some(&tail) = pager.pages_of(e.req).last() {
             pager.touch(tail, step_id);
         }
@@ -1063,20 +1103,15 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     // placement: pages resident now are priced at device bandwidth,
     // pages host-resident now are priced on the wire (recall or DHA)
     // below. Phase-2 evictions shuffle homes but never re-price a page.
-    let resident_kv = s
-        .pager
-        .as_ref()
-        .expect("decode enabled implies pager")
-        .gpu_used_bytes(g);
+    let resident_kv = pager.gpu_used_bytes(g);
     // Phase 2: place host-resident pages. The per-page load-vs-DHA
     // decision mirrors the planner's layer rule: recall when the page's
     // remaining accesses amortise the copy, DHA when it is wire-bound.
-    let gpu_spec = s.cfg.machine.gpu(g).clone();
+    let gpu_spec = s.cfg.machine.gpu(g);
     let mut dha_bytes = 0.0f64;
     let mut moved_bytes = 0.0f64;
     let mut recall_transfers = 0u64;
     for e in &entries {
-        let pager = s.pager.as_ref().expect("decode enabled implies pager");
         let host_pages = pager.host_pages_of(e.req);
         if host_pages == 0 {
             continue;
@@ -1114,17 +1149,15 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
         } else {
             Vec::new()
         };
-        spill_pages(s, now, g, victims);
+        spill_pages(pager, &s.probe, now, g, victims);
         // Every host page not recalled — wire-bound, or the device pool
         // is full — is read in place over PCIe, overlapped with compute.
         let mut dha_pages = host_pages;
         for page in recall {
-            let pager = s.pager.as_mut().expect("decode enabled implies pager");
             if pager.recall(page, g, step_id) {
                 dha_pages -= 1;
                 moved_bytes += page_bytes as f64;
                 recall_transfers += 1;
-                s.report.kv_recalls += 1;
                 s.probe.emit(
                     now,
                     ProbeEvent::KvPageRecall {
@@ -1166,14 +1199,6 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
         moved_bytes,
         recall_transfers,
     };
-    let run = match s.batches[g].run {
-        Some(r) => r,
-        None => {
-            let r = begin_decode(s, g);
-            s.batches[g].run = Some(r);
-            r
-        }
-    };
     let started = start_token_step(
         s,
         ctx,
@@ -1189,46 +1214,46 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
 /// equal-priority requests are never reordered — before the pump
 /// continues with joins and the next step.
 fn step_done(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize, step_id: u64) {
-    if s.batches[g].step_id != step_id || !s.batches[g].stepping {
+    let Some(d) = s.decode.as_mut() else {
+        return;
+    };
+    let batch = &mut d.batches[g];
+    if batch.step_id != step_id || !batch.stepping {
         return; // Stale: the batch was torn down under this step.
     }
-    s.batches[g].stepping = false;
+    batch.stepping = false;
     let now = ctx.now();
-    for e in s.batches[g].entries.iter_mut() {
+    let res = &s.cfg.decode_resilience;
+    for e in batch.entries.iter_mut() {
         e.tokens_done += 1;
-    }
-    if s.cfg.decode_resilience.enabled && !s.cfg.decode_resilience.tiers.is_empty() {
         // Token-level degradation: once a session's elapsed decode time
         // already exceeds its tier's whole-session TPOT budget, no
         // finite remaining speed can bring the mean TPOT back under the
         // SLO — finish it at the current token instead of burning steps
         // on an SLO-dead stream.
-        for i in 0..s.batches[g].entries.len() {
-            let e = s.batches[g].entries[i];
-            if e.tokens_done >= e.tokens_target {
-                continue;
-            }
-            let Some(tier) = s.cfg.decode_resilience.tier_for(e.priority).copied() else {
-                continue;
-            };
-            let budget = tier.tpot_slo.as_nanos() * (e.tokens_target - 1).max(1);
-            if (now - e.prefill_done).as_nanos() > budget {
-                s.report.sessions_truncated += 1;
-                s.probe.emit(
-                    now,
-                    ProbeEvent::SessionTruncated {
-                        req: e.req,
-                        gpu: g,
-                        tokens: e.tokens_done,
-                        target: e.tokens_target,
-                    },
-                );
-                s.batches[g].entries[i].tokens_target = e.tokens_done;
-            }
+        if !res.enabled || e.tokens_done >= e.tokens_target {
+            continue;
+        }
+        let Some(tier) = res.tier_for(e.priority) else {
+            continue;
+        };
+        let budget = tier.tpot_slo.as_nanos() * (e.tokens_target - 1).max(1);
+        if (now - e.prefill_done).as_nanos() > budget {
+            s.report.sessions_truncated += 1;
+            s.probe.emit(
+                now,
+                ProbeEvent::SessionTruncated {
+                    req: e.req,
+                    gpu: g,
+                    tokens: e.tokens_done,
+                    target: e.tokens_target,
+                },
+            );
+            e.tokens_target = e.tokens_done;
         }
     }
     let mut finished: Vec<DecodeEntry> = Vec::new();
-    s.batches[g].entries.retain(|e| {
+    batch.entries.retain(|e| {
         if e.tokens_done >= e.tokens_target {
             finished.push(*e);
             false
@@ -1260,9 +1285,8 @@ fn step_done(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize, step_id:
                 tpot_ns,
             },
         );
-        if let Some(p) = s.pager.as_mut() {
-            p.free_request(e.req);
-        }
+        d.pager.free_request(e.req);
+        d.forget(e.req);
         let inst = &mut s.instances[e.instance];
         inst.active -= 1;
         inst.last_used = now;
@@ -1272,19 +1296,14 @@ fn step_done(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize, step_id:
             s.report.decode_completed += 1;
             s.report.tokens_generated += e.tokens_target;
         }
-        if s.cfg.decode_resilience.enabled {
-            s.ckpts.remove(&e.req);
-            s.crashed_at.remove(&e.req);
-        }
     }
-    if s.batches[g].entries.is_empty() {
-        if let Some(r) = s.batches[g].run.take() {
+    let batch = &mut d.batches[g];
+    if batch.entries.is_empty() {
+        if let Some(r) = batch.run.take() {
             abort_decode(s, ctx, r);
         }
     }
-    if s.cfg.decode_resilience.enabled {
-        maybe_checkpoint(s, ctx, g);
-    }
+    maybe_checkpoint(s, ctx, g);
     decode_pump(s, ctx, g);
 }
 
@@ -1299,32 +1318,29 @@ fn step_done(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize, step_id:
 /// was on the wire.
 fn maybe_checkpoint(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     let pol = &s.cfg.decode_resilience;
+    let Some(d) = s.decode.as_mut() else {
+        return;
+    };
     if !pol.enabled
         || pol.checkpoint_bw <= 0.0
-        || s.ckpt_inflight[g]
-        || s.batches[g].entries.is_empty()
+        || d.ckpt_inflight[g]
+        || d.batches[g].entries.is_empty()
     {
         return;
     }
     let every = pol.checkpoint_every.max(1);
-    let bw = pol.checkpoint_bw;
-    let burst = pol.checkpoint_burst as f64;
+    let burst = CHECKPOINT_BURST as f64;
     let now = ctx.now();
     // Lazy token-bucket refill from sim time — deterministic, no timers.
-    let dt = (now - s.ckpt_refilled).as_secs_f64();
-    s.ckpt_tokens = (s.ckpt_tokens + dt * bw).min(burst);
-    s.ckpt_refilled = now;
-    let page_bytes = s
-        .pager
-        .as_ref()
-        .expect("decode enabled implies pager")
-        .page_bytes();
-    let entries: Vec<DecodeEntry> = s.batches[g].entries.clone();
+    let dt = (now - d.ckpt_refilled).as_secs_f64();
+    d.ckpt_tokens = (d.ckpt_tokens + dt * pol.checkpoint_bw).min(burst);
+    d.ckpt_refilled = now;
+    let page_bytes = d.pager.page_bytes();
     // (req, covered tokens, covered bytes, bytes crossing the wire now)
     let mut batch: Vec<(u64, u64, u64, u64)> = Vec::new();
     let mut spend = 0u64;
-    for e in &entries {
-        let prev = s.ckpts.get(&e.req).copied().unwrap_or_default();
+    for e in &d.batches[g].entries {
+        let prev = d.ckpts.get(&e.req).copied().unwrap_or_default();
         if e.tokens_done < prev.tokens + every {
             continue;
         }
@@ -1332,21 +1348,19 @@ fn maybe_checkpoint(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
         let prof = s.kinds[kind]
             .decode
             .expect("batch entries are decoder kinds");
-        let total = s
+        let total = d
             .pager
-            .as_ref()
-            .expect("decode enabled implies pager")
             .pages_for(prof.kv_bytes(e.prompt_tokens + e.tokens_done))
             * page_bytes;
         // The tail page is always dirty — tokens appended since the last
         // mirror landed inside it — so a delta of zero whole pages still
         // re-ships one page.
         let delta = total.saturating_sub(prev.bytes).max(page_bytes);
-        if spend + delta > s.ckpt_tokens as u64 {
+        if spend + delta > d.ckpt_tokens as u64 {
             // A first mirror bigger than the whole burst would starve
             // forever behind a brim-full bucket; ship it alone and run
             // the bucket dry (the debt throttles later mirrors).
-            if batch.is_empty() && s.ckpt_tokens >= burst {
+            if batch.is_empty() && d.ckpt_tokens >= burst {
                 spend = delta;
                 batch.push((e.req, e.tokens_done, total, delta));
             }
@@ -1358,9 +1372,9 @@ fn maybe_checkpoint(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     if batch.is_empty() {
         return;
     }
-    s.ckpt_tokens = (s.ckpt_tokens - spend as f64).max(0.0);
-    s.ckpt_inflight[g] = true;
-    let epoch = s.ckpt_epoch[g];
+    d.ckpt_tokens = (d.ckpt_tokens - spend as f64).max(0.0);
+    d.ckpt_inflight[g] = true;
+    let epoch = d.ckpt_epoch[g];
     stream_kv(
         s,
         ctx,
@@ -1382,16 +1396,19 @@ fn ckpt_done(
     epoch: u64,
     batch: Vec<(u64, u64, u64, u64)>,
 ) {
-    if s.ckpt_epoch[g] != epoch {
+    let Some(d) = s.decode.as_mut() else {
+        return;
+    };
+    if d.ckpt_epoch[g] != epoch {
         return; // The GPU crashed mid-mirror; gpu_fail reset inflight.
     }
-    s.ckpt_inflight[g] = false;
+    d.ckpt_inflight[g] = false;
     let now = ctx.now();
     for (req, tokens, total, delta) in batch {
-        if !s.batches[g].entries.iter().any(|e| e.req == req) {
+        if !d.batches[g].entries.iter().any(|e| e.req == req) {
             continue;
         }
-        if s.ckpts
+        if d.ckpts
             .insert(
                 req,
                 CkptState {
@@ -1477,24 +1494,32 @@ fn note_observation(
 /// an inferred signature from an oracle one.
 fn handle_transition(s: &mut ServerState, ctx: &mut Ctx<ServerState>, t: Transition) {
     let now = ctx.now();
-    match t {
-        Transition::LinkQuarantined(l) => {
+    let (target, state) = t.split();
+    let d = s.detector.as_ref().expect("transition implies detector");
+    let (score_milli, epoch) = (d.score_milli(target), d.epoch(target));
+    s.probe.emit(
+        now,
+        match target {
+            Target::Link(l) => ProbeEvent::LinkInferred {
+                link: l.0,
+                state,
+                score_milli,
+            },
+            Target::Gpu(gpu) => ProbeEvent::GpuInferred {
+                gpu,
+                state,
+                score_milli,
+            },
+        },
+    );
+    match state {
+        DetectState::Quarantined => {
             s.report.quarantines += 1;
-            let d = s.detector.as_ref().expect("transition implies detector");
-            let (score, epoch) = (d.link_score_milli(l), d.link_epoch(l));
-            s.probe.emit(
-                now,
-                ProbeEvent::LinkInferred {
-                    link: l.0,
-                    state: DetectState::Quarantined,
-                    score_milli: score,
-                },
-            );
             if s.serving_active() {
                 ctx.schedule_in(
-                    s.cfg.detection.probation,
+                    PROBATION,
                     Box::new(move |s: &mut ServerState, ctx| {
-                        let t = s.detector.as_mut().and_then(|d| d.link_probation(l, epoch));
+                        let t = s.detector.as_mut().and_then(|d| d.probation(target, epoch));
                         if let Some(t) = t {
                             handle_transition(s, ctx, t);
                         }
@@ -1503,69 +1528,19 @@ fn handle_transition(s: &mut ServerState, ctx: &mut Ctx<ServerState>, t: Transit
             }
             note_topology_change(s, ctx);
         }
-        Transition::LinkProbation(l) => {
-            let score = s.detector.as_ref().map_or(0, |d| d.link_score_milli(l));
-            s.probe.emit(
-                now,
-                ProbeEvent::LinkInferred {
-                    link: l.0,
-                    state: DetectState::Probation,
-                    score_milli: score,
-                },
-            );
-            send_canary(s, ctx, l);
-        }
-        Transition::LinkReinstated(l) => {
-            s.report.reinstates += 1;
-            let score = s.detector.as_ref().map_or(0, |d| d.link_score_milli(l));
-            s.probe.emit(
-                now,
-                ProbeEvent::LinkInferred {
-                    link: l.0,
-                    state: DetectState::Healthy,
-                    score_milli: score,
-                },
-            );
-            note_topology_change(s, ctx);
-        }
-        Transition::GpuQuarantined(g) => {
-            s.report.quarantines += 1;
-            let d = s.detector.as_ref().expect("transition implies detector");
-            let (score, epoch) = (d.gpu_score_milli(g), d.gpu_epoch(g));
-            s.probe.emit(
-                now,
-                ProbeEvent::GpuInferred {
-                    gpu: g,
-                    state: DetectState::Quarantined,
-                    score_milli: score,
-                },
-            );
-            if s.serving_active() {
-                ctx.schedule_in(
-                    s.cfg.detection.probation,
-                    Box::new(move |s: &mut ServerState, ctx| {
-                        let t = s.detector.as_mut().and_then(|d| d.gpu_probation(g, epoch));
-                        if let Some(t) = t {
-                            handle_transition(s, ctx, t);
-                        }
-                    }),
-                );
+        // Only links probe: a GPU goes from quarantine straight back to
+        // healthy.
+        DetectState::Probation => {
+            if let Target::Link(l) = target {
+                send_canary(s, ctx, l);
             }
-            note_topology_change(s, ctx);
         }
-        Transition::GpuReinstated(g) => {
+        DetectState::Healthy => {
             s.report.reinstates += 1;
-            let score = s.detector.as_ref().map_or(0, |d| d.gpu_score_milli(g));
-            s.probe.emit(
-                now,
-                ProbeEvent::GpuInferred {
-                    gpu: g,
-                    state: DetectState::Healthy,
-                    score_milli: score,
-                },
-            );
             note_topology_change(s, ctx);
-            try_dispatch(s, ctx, g);
+            if let Target::Gpu(g) = target {
+                try_dispatch(s, ctx, g);
+            }
         }
     }
 }
@@ -1585,7 +1560,7 @@ fn send_canary(s: &mut ServerState, ctx: &mut Ctx<ServerState>, l: LinkId) {
         return;
     };
     let path = s.hw.map.host_to_gpu(&s.cfg.machine, g0);
-    let bytes = s.cfg.detection.canary_bytes as f64;
+    let bytes = CANARY_BYTES as f64;
     let believed = s.believed_path_rate(g0);
     if believed <= 0.0 || !believed.is_finite() || bytes <= 0.0 {
         return;
@@ -1597,7 +1572,7 @@ fn send_canary(s: &mut ServerState, ctx: &mut Ctx<ServerState>, l: LinkId) {
         ctx.now(),
         ProbeEvent::CanarySent {
             link: l.0,
-            bytes: s.cfg.detection.canary_bytes,
+            bytes: CANARY_BYTES,
         },
     );
     let sent = ctx.now();
@@ -1630,19 +1605,13 @@ fn send_canary(s: &mut ServerState, ctx: &mut Ctx<ServerState>, l: LinkId) {
 /// Re-queues a request on a healthy GPU, counting it as a retry. Sheds
 /// when the retry budget is spent or no GPU is up.
 fn requeue(s: &mut ServerState, ctx: &mut Ctx<ServerState>, q: Queued) {
-    if q.attempt > s.cfg.faults.max_retries {
+    if q.attempt > MAX_RETRIES {
         s.shed(ctx.now(), q.req, q.instance, ShedCause::RetriesExhausted);
         return;
     }
-    let g = match s.instances[q.instance].gpu() {
-        Some(g) if s.gpu_up.is_up(g) => g,
-        _ => match s.pick_gpu() {
-            Some(g) => g,
-            None => {
-                s.shed(ctx.now(), q.req, q.instance, ShedCause::NoCapacity);
-                return;
-            }
-        },
+    let Some(g) = s.home_gpu(q.instance) else {
+        s.shed(ctx.now(), q.req, q.instance, ShedCause::NoCapacity);
+        return;
     };
     s.report.retries += 1;
     s.probe.emit(
@@ -1673,67 +1642,38 @@ fn gpu_fail(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     if let Some(rr) = s.running[g].take() {
         if abort_run(s, ctx, rr.run) {
             s.report.aborted_runs += 1;
-            s.instances[rr.instance].active -= 1;
-            let attempt = rr.attempt + 1;
-            let backoff =
-                SimDur::from_nanos(s.cfg.faults.retry_backoff.as_nanos() * u64::from(attempt));
-            let q = Queued {
-                req: rr.req,
-                instance: rr.instance,
-                arrival: rr.arrival,
-                attempt,
-                priority: rr.priority,
-                prompt_tokens: rr.prompt_tokens,
-                output_tokens: rr.output_tokens,
-            };
-            ctx.schedule_in(
-                backoff,
-                Box::new(move |s: &mut ServerState, ctx| requeue(s, ctx, q)),
-            );
+            s.instances[rr.q.instance].active -= 1;
+            rr.q.retry_later(ctx);
         }
     }
     // Tear down the GPU's continuous batch: the in-flight step's timers
     // and flows land as no-ops through the decode generation guard, all
     // of its KV pages (device *and* spilled) are freed, and every
-    // streaming request retries from its prompt on a survivor.
-    if s.cfg.decode.enabled {
-        s.batches[g].stepping = false;
-        if let Some(r) = s.batches[g].run.take() {
-            abort_decode(s, ctx, r);
-        }
-        if s.cfg.decode_resilience.enabled {
-            // Invalidate any checkpoint mirror on the wire: the device
-            // pages it was copying died with the GPU.
-            s.ckpt_epoch[g] += 1;
-            s.ckpt_inflight[g] = false;
-        }
-        let entries: Vec<DecodeEntry> = s.batches[g].entries.drain(..).collect();
-        for e in entries {
-            if let Some(p) = s.pager.as_mut() {
-                p.free_request(e.req);
-            }
+    // streaming request retries from its prompt on a survivor — or, with
+    // resilience on, restores from its checkpoint.
+    if let Some(d) = s.decode.as_mut() {
+        let batch = &mut d.batches[g];
+        batch.stepping = false;
+        let run = batch.run.take();
+        let entries = std::mem::take(&mut batch.entries);
+        // Invalidate any checkpoint mirror on the wire: the device pages
+        // it was copying died with the GPU.
+        d.ckpt_epoch[g] += 1;
+        d.ckpt_inflight[g] = false;
+        for e in &entries {
+            d.pager.free_request(e.req);
             s.instances[e.instance].active -= 1;
             s.report.aborted_runs += 1;
+        }
+        if let Some(r) = run {
+            abort_decode(s, ctx, r);
+        }
+        for e in entries {
             if s.cfg.decode_resilience.enabled {
                 crash_recover_session(s, ctx, g, e);
-                continue;
+            } else {
+                e.queued().retry_later(ctx);
             }
-            let attempt = e.attempt + 1;
-            let backoff =
-                SimDur::from_nanos(s.cfg.faults.retry_backoff.as_nanos() * u64::from(attempt));
-            let q = Queued {
-                req: e.req,
-                instance: e.instance,
-                arrival: e.arrival,
-                attempt,
-                priority: e.priority,
-                prompt_tokens: e.prompt_tokens as u32,
-                output_tokens: e.tokens_target as u32,
-            };
-            ctx.schedule_in(
-                backoff,
-                Box::new(move |s: &mut ServerState, ctx| requeue(s, ctx, q)),
-            );
         }
     }
     s.busy[g] = false;
@@ -1759,7 +1699,7 @@ fn gpu_fail(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             },
         );
     }
-    if s.cfg.decode_resilience.enabled && !s.swapped.is_empty() {
+    if s.decode.as_ref().is_some_and(|d| !d.swapped.is_empty()) {
         // Swapped-out sessions are not tied to the dead GPU; give every
         // survivor's pump a chance to resume them so none strand.
         for g2 in 0..s.gpu_up.len() {
@@ -1788,31 +1728,38 @@ fn crash_recover_session(
     e: DecodeEntry,
 ) {
     let now = ctx.now();
-    // Keep the first crash time: a victim that crashes again
-    // mid-recovery still measures recovery from the original loss.
-    s.crashed_at.entry(e.req).or_insert(now);
-    let ckpt = s.ckpts.get(&e.req).copied().unwrap_or_default();
     let survivor = s.pick_gpu();
     let kind = s.instances[e.instance].kind;
     let prefill_secs = s.kinds[kind].profile.exec_inmem_total().as_secs_f64();
-    let choice = match survivor {
-        Some(g2) => {
-            let step_secs = s.kinds[kind]
-                .decode
-                .expect("decode entries are decoder kinds")
-                .weight_bytes as f64
-                / s.cfg.machine.gpu(g2).mem_bw;
-            choose_restore(
-                ckpt.bytes,
-                s.believed_path_rate(g2),
-                s.cfg.machine.gpu(g2).pcie.launch_overhead_ns,
-                prefill_secs,
-                step_secs,
-            )
-        }
-        None => RestoreChoice::Reprefill,
+    // (believed host-path rate, launch overhead, one decode step) there.
+    let target = survivor.map(|g2| {
+        let spec = s.cfg.machine.gpu(g2);
+        let weights = s.kinds[kind]
+            .decode
+            .expect("decode entries are decoder kinds")
+            .weight_bytes;
+        (
+            s.believed_path_rate(g2),
+            spec.pcie.launch_overhead_ns,
+            weights as f64 / spec.mem_bw,
+        )
+    });
+    let Some(d) = s.decode.as_mut() else {
+        return;
     };
-    let restore = choice == RestoreChoice::Restore;
+    // Keep the first crash time: a victim that crashes again
+    // mid-recovery still measures recovery from the original loss.
+    d.crashed_at.entry(e.req).or_insert(now);
+    let ckpt = d.ckpts.get(&e.req).copied().unwrap_or_default();
+    let restore = target.is_some_and(|(rate, overhead, step_secs)| {
+        choose_restore(ckpt.bytes, rate, overhead, prefill_secs, step_secs)
+            == RestoreChoice::Restore
+    });
+    if !restore {
+        // The mirror's backing pages died with the session's pager
+        // state; a re-prefilled session re-checkpoints from scratch.
+        d.ckpts.remove(&e.req);
+    }
     s.probe.emit(
         now,
         ProbeEvent::RestoreDecision {
@@ -1823,33 +1770,19 @@ fn crash_recover_session(
             ckpt_bytes: ckpt.bytes,
         },
     );
-    let attempt = e.attempt + 1;
-    let backoff = SimDur::from_nanos(s.cfg.faults.retry_backoff.as_nanos() * u64::from(attempt));
     if restore {
         s.report.restore_decisions += 1;
-        let job = DecodeEntry { attempt, ..e };
+        let job = DecodeEntry {
+            attempt: e.attempt + 1,
+            ..e
+        };
         ctx.schedule_in(
-            backoff,
+            backoff(job.attempt),
             Box::new(move |s: &mut ServerState, ctx| start_restore(s, ctx, job, ckpt)),
         );
     } else {
         s.report.reprefill_decisions += 1;
-        // The mirror's backing pages died with the session's pager
-        // state; a re-prefilled session re-checkpoints from scratch.
-        s.ckpts.remove(&e.req);
-        let q = Queued {
-            req: e.req,
-            instance: e.instance,
-            arrival: e.arrival,
-            attempt,
-            priority: e.priority,
-            prompt_tokens: e.prompt_tokens as u32,
-            output_tokens: e.tokens_target as u32,
-        };
-        ctx.schedule_in(
-            backoff,
-            Box::new(move |s: &mut ServerState, ctx| requeue(s, ctx, q)),
-        );
+        e.queued().retry_later(ctx);
     }
 }
 
@@ -1859,64 +1792,29 @@ fn crash_recover_session(
 /// host→device stream.
 fn start_restore(s: &mut ServerState, ctx: &mut Ctx<ServerState>, e: DecodeEntry, ckpt: CkptState) {
     let now = ctx.now();
-    if e.attempt > s.cfg.faults.max_retries {
+    if e.attempt > MAX_RETRIES {
         s.shed(now, e.req, e.instance, ShedCause::RetriesExhausted);
         return;
     }
     // Decode must run where the weights are: follow the instance if it
     // came back resident elsewhere during the backoff.
-    let target = match s.instances[e.instance].gpu() {
-        Some(gi) if s.gpu_up.is_up(gi) => Some(gi),
-        _ => s.pick_gpu(),
-    };
-    let Some(g2) = target else {
+    let Some(g2) = s.home_gpu(e.instance) else {
         s.shed(now, e.req, e.instance, ShedCause::NoCapacity);
         return;
     };
     let mut stream_bytes = ckpt.bytes;
     if s.instances[e.instance].residency == Residency::NotResident {
-        let kind = s.instances[e.instance].kind;
-        let bytes = s.sizes[kind];
-        let evicted = {
-            let (caches, instances) = (&mut s.caches, &mut s.instances);
-            make_room_with(
-                &mut caches[g2],
-                g2,
-                instances,
-                &s.inst_resident,
-                bytes,
-                s.cfg.eviction,
-                now.as_nanos(),
-            )
-        };
-        match evicted {
-            Some(victims) => {
-                s.report.evictions += victims.len() as u64;
-                s.caches[g2].used += bytes;
-                s.inst_resident[e.instance] = bytes;
-                s.instances[e.instance].residency = Residency::Loading(g2);
-                s.emit_cache(now, g2);
-                // Cold weights ride the same replay stream as the KV.
-                stream_bytes += bytes;
-            }
+        match s.claim_cache(now, g2, e.instance) {
+            // Cold weights ride the same replay stream as the KV.
+            Some(bytes) => stream_bytes += bytes,
             None => {
                 // Cache full of busy instances: fall back to the
                 // ordinary re-prefill retry path, which waits for a
                 // drain instead of spinning here.
-                s.ckpts.remove(&e.req);
-                requeue(
-                    s,
-                    ctx,
-                    Queued {
-                        req: e.req,
-                        instance: e.instance,
-                        arrival: e.arrival,
-                        attempt: e.attempt,
-                        priority: e.priority,
-                        prompt_tokens: e.prompt_tokens as u32,
-                        output_tokens: e.tokens_target as u32,
-                    },
-                );
+                if let Some(d) = s.decode.as_mut() {
+                    d.ckpts.remove(&e.req);
+                }
+                requeue(s, ctx, e.queued());
                 return;
             }
         }
@@ -1963,13 +1861,16 @@ fn finish_restore(
     if s.instances[e.instance].residency == Residency::Loading(g) {
         s.instances[e.instance].residency = Residency::Resident(g);
     }
+    let Some(d) = s.decode.as_mut() else {
+        return;
+    };
     let entry = DecodeEntry {
         prefill_done: now,
         tokens_done: ckpt.tokens.max(1),
         ..e
     };
     s.report.sessions_restored += 1;
-    let t0 = s.crashed_at.remove(&e.req).unwrap_or(now);
+    let t0 = d.crashed_at.remove(&e.req).unwrap_or(now);
     s.report.recovery_restore_ttft.push((now - t0).as_ms_f64());
     s.probe.emit(
         now,
@@ -1980,7 +1881,7 @@ fn finish_restore(
             bytes: ckpt.bytes,
         },
     );
-    s.batches[g].entries.push(entry);
+    d.batches[g].entries.push(entry);
     decode_pump(s, ctx, g);
 }
 
@@ -2010,7 +1911,7 @@ fn note_topology_change(s: &mut ServerState, ctx: &mut Ctx<ServerState>) {
     s.topo_epoch += 1;
     let epoch = s.topo_epoch;
     ctx.schedule_in(
-        s.cfg.recovery.settle,
+        SETTLE,
         Box::new(move |s: &mut ServerState, ctx| {
             if s.topo_epoch == epoch {
                 replan(s, ctx);
@@ -2027,9 +1928,8 @@ fn note_topology_change(s: &mut ServerState, ctx: &mut Ctx<ServerState>) {
 ///   the stall analysis re-balances Load vs DHA for the slower wires;
 /// * a fully healthy signature rolls every kind back to its original
 ///   plan (the same `Arc` it booted with);
-/// * with `recovery.migrate`, already-resident instances whose new plan
-///   needs more GPU bytes are grown in place over the host link while
-///   they keep serving.
+/// * already-resident instances whose new plan needs more GPU bytes are
+///   grown in place over the host link while they keep serving.
 fn replan(s: &mut ServerState, ctx: &mut Ctx<ServerState>) {
     let now = ctx.now();
     let n = s.gpu_up.len();
@@ -2038,29 +1938,8 @@ fn replan(s: &mut ServerState, ctx: &mut Ctx<ServerState>) {
     // link contributes its inferred slowdown factor. The signature (and
     // therefore the whole swap/migrate/rollback machinery) cannot tell
     // oracle knowledge from detector knowledge.
-    let gpu_up: Vec<bool> = (0..n)
-        .map(|g| {
-            s.gpu_up.is_up(g)
-                && s.detector
-                    .as_ref()
-                    .is_none_or(|d| d.gpu_state(g) != DetectState::Quarantined)
-        })
-        .collect();
-    // A GPU's effective host bandwidth is capped by the slower of its
-    // switch uplink and its own PCIe lane.
-    let factors: Vec<f64> = (0..n)
-        .map(|g| {
-            let uplink = s.hw.map.switch_uplink[s.cfg.machine.switch_of(g)];
-            let pcie = s.hw.map.gpu_pcie[g];
-            let announced = s.link_health.factor(uplink).min(s.link_health.factor(pcie));
-            match &s.detector {
-                Some(d) => announced
-                    .min(d.link_factor(uplink))
-                    .min(d.link_factor(pcie)),
-                None => announced,
-            }
-        })
-        .collect();
+    let gpu_up: Vec<bool> = (0..n).map(|g| s.gpu_ok(g)).collect();
+    let factors: Vec<f64> = (0..n).map(|g| s.path_factor(g)).collect();
     let signature = (
         gpu_up.clone(),
         factors.iter().map(|f| f.to_bits()).collect::<Vec<u64>>(),
@@ -2111,9 +1990,7 @@ fn replan(s: &mut ServerState, ctx: &mut Ctx<ServerState>) {
         );
         s.active_plans[k] = new_plan;
         s.sizes[k] = new_bytes;
-        if s.cfg.recovery.migrate {
-            migrate_kind(s, ctx, k, new_bytes);
-        }
+        migrate_kind(s, ctx, k, new_bytes);
     }
 }
 
@@ -2261,45 +2138,49 @@ fn release_mem_pressure(s: &mut ServerState, ctx: &mut Ctx<ServerState>) {
     );
 }
 
+/// An announced link degrade (`Some(factor)`) or restore (`None`):
+/// record the new health, publish the announced capacity, program it
+/// into the flow network and nudge the recovery plane.
+fn announce_link(
+    s: &mut ServerState,
+    ctx: &mut Ctx<ServerState>,
+    link: &LinkRef,
+    factor: Option<f64>,
+) {
+    let Some(l) = s.hw.map.resolve_link(link) else {
+        return;
+    };
+    let cap = match factor {
+        Some(f) => s.link_health.degrade(l, f),
+        None => s.link_health.restore(l),
+    };
+    s.probe.emit(
+        ctx.now(),
+        ProbeEvent::LinkCapacity {
+            link: l.0,
+            capacity_bps: cap,
+        },
+    );
+    program_link(s, ctx, l);
+    note_topology_change(s, ctx);
+}
+
+/// Programs link `l`'s effective capacity into the flow network: its
+/// healthy capacity times the announced health factor times any silent
+/// slowdown on the same wire.
+fn program_link(s: &mut ServerState, ctx: &mut Ctx<ServerState>, l: LinkId) {
+    let cap = s.link_health.healthy_capacity(l) * s.link_health.factor(l);
+    let silent = s.silent_link_factor[l.0];
+    set_link_capacity(s, ctx, l, cap * silent);
+}
+
 /// Applies one materialized fault event to the serving world.
 fn apply_fault(s: &mut ServerState, ctx: &mut Ctx<ServerState>, kind: FaultKind) {
     match kind {
         FaultKind::GpuFail { gpu } => gpu_fail(s, ctx, gpu),
         FaultKind::GpuRecover { gpu } => gpu_recover(s, ctx, gpu),
-        FaultKind::LinkDegrade { link, factor } => {
-            if let Some(l) = s.hw.map.resolve_link(&link) {
-                let cap = s.link_health.degrade(l, factor);
-                s.probe.emit(
-                    ctx.now(),
-                    ProbeEvent::LinkCapacity {
-                        link: l.0,
-                        capacity_bps: cap,
-                    },
-                );
-                // Any silent slowdown on the same wire compounds with
-                // the announced degradation.
-                let silent = s.silent_link_factor[l.0];
-                let eff = if silent == 1.0 { cap } else { cap * silent };
-                set_link_capacity(s, ctx, l, eff);
-                note_topology_change(s, ctx);
-            }
-        }
-        FaultKind::LinkRestore { link } => {
-            if let Some(l) = s.hw.map.resolve_link(&link) {
-                let cap = s.link_health.restore(l);
-                s.probe.emit(
-                    ctx.now(),
-                    ProbeEvent::LinkCapacity {
-                        link: l.0,
-                        capacity_bps: cap,
-                    },
-                );
-                let silent = s.silent_link_factor[l.0];
-                let eff = if silent == 1.0 { cap } else { cap * silent };
-                set_link_capacity(s, ctx, l, eff);
-                note_topology_change(s, ctx);
-            }
-        }
+        FaultKind::LinkDegrade { link, factor } => announce_link(s, ctx, &link, Some(factor)),
+        FaultKind::LinkRestore { link } => announce_link(s, ctx, &link, None),
         // Silent (gray) faults: the physics changes but *no* health
         // announcement is made — link_health / gpu_up never hear about
         // it, no LinkCapacity probe fires, and the recovery plane is not
@@ -2308,78 +2189,40 @@ fn apply_fault(s: &mut ServerState, ctx: &mut Ctx<ServerState>, kind: FaultKind)
             if let Some(l) = s.hw.map.resolve_link(&link) {
                 if factor.is_finite() && factor > 0.0 {
                     s.silent_link_factor[l.0] = factor;
-                    s.probe.emit(
-                        ctx.now(),
-                        ProbeEvent::SilentFaultInjected {
-                            kind: SilentFaultKind::LinkSlow,
-                            target: l.0,
-                        },
-                    );
-                    let cap = s.link_health.healthy_capacity(l) * s.link_health.factor(l) * factor;
-                    set_link_capacity(s, ctx, l, cap);
+                    s.emit_silent(ctx.now(), SilentFaultKind::LinkSlow, l.0);
+                    program_link(s, ctx, l);
                 }
             }
         }
         FaultKind::SilentLinkRestore { link } => {
             if let Some(l) = s.hw.map.resolve_link(&link) {
                 s.silent_link_factor[l.0] = 1.0;
-                s.probe.emit(
-                    ctx.now(),
-                    ProbeEvent::SilentFaultInjected {
-                        kind: SilentFaultKind::LinkRestore,
-                        target: l.0,
-                    },
-                );
-                let cap = s.link_health.healthy_capacity(l) * s.link_health.factor(l);
-                set_link_capacity(s, ctx, l, cap);
+                s.emit_silent(ctx.now(), SilentFaultKind::LinkRestore, l.0);
+                program_link(s, ctx, l);
             }
         }
         FaultKind::SilentGpuSlow { gpu, factor } => {
             if gpu < s.silent_gpu_factor.len() && factor.is_finite() && factor > 0.0 {
                 s.silent_gpu_factor[gpu] = factor;
-                s.probe.emit(
-                    ctx.now(),
-                    ProbeEvent::SilentFaultInjected {
-                        kind: SilentFaultKind::GpuSlow,
-                        target: gpu,
-                    },
-                );
+                s.emit_silent(ctx.now(), SilentFaultKind::GpuSlow, gpu);
             }
         }
         FaultKind::SilentGpuRestore { gpu } => {
             if gpu < s.silent_gpu_factor.len() {
                 s.silent_gpu_factor[gpu] = 1.0;
-                s.probe.emit(
-                    ctx.now(),
-                    ProbeEvent::SilentFaultInjected {
-                        kind: SilentFaultKind::GpuRestore,
-                        target: gpu,
-                    },
-                );
+                s.emit_silent(ctx.now(), SilentFaultKind::GpuRestore, gpu);
             }
         }
         FaultKind::StuckFlow { link, stall } => {
             if let Some(l) = s.hw.map.resolve_link(&link) {
                 s.flows.arm_stuck(l, stall);
-                s.probe.emit(
-                    ctx.now(),
-                    ProbeEvent::SilentFaultInjected {
-                        kind: SilentFaultKind::StuckFlow,
-                        target: l.0,
-                    },
-                );
+                s.emit_silent(ctx.now(), SilentFaultKind::StuckFlow, l.0);
             }
         }
         FaultKind::CorruptTransfer { link } => {
             if let Some(l) = s.hw.map.resolve_link(&link) {
                 s.flows.arm_corrupt(l);
-                s.probe.emit(
-                    ctx.now(),
-                    ProbeEvent::SilentFaultInjected {
-                        kind: SilentFaultKind::CorruptTransfer,
-                        target: l.0,
-                    },
-                );
+                s.emit_silent(ctx.now(), SilentFaultKind::CorruptTransfer, l.0);
             }
         }
         FaultKind::HostMemPressure { bytes } => apply_mem_pressure(s, ctx, bytes),
@@ -2535,11 +2378,14 @@ pub fn run_server_faulted(
     state.report.sim_events = events;
     state.report.hedged_transfers = state.flows.hedged;
     state.report.checksum_refetches = state.hw.refetches;
-    state.report.kv_live_pages_at_end = state.pager.as_ref().map_or(0, |p| p.live_pages() as u64);
-    if let Some(p) = state.pager.as_ref() {
-        state.report.kv_allocs = p.allocs;
-        state.report.kv_frees_gpu = p.frees_gpu;
-        state.report.kv_frees_host = p.frees_host;
+    if let Some(d) = &state.decode {
+        let (p, r) = (&d.pager, &mut state.report);
+        r.kv_live_pages_at_end = p.live_pages() as u64;
+        r.kv_allocs = p.allocs;
+        r.kv_spills = p.spills;
+        r.kv_recalls = p.recalls;
+        r.kv_frees_gpu = p.frees_gpu;
+        r.kv_frees_host = p.frees_host;
     }
     state.report
 }
